@@ -68,13 +68,11 @@ func (r *Runner) Intervals() []IntervalResult {
 		for _, arm := range arms {
 			start := time.Now()
 			pairs, stats, err := query.PipelineIntersectionJoin(r.ctx(), w.a, w.b, query.PipelineOptions{
-				ParallelOptions: query.ParallelOptions{
-					Tester: func() *core.Tester {
-						return core.NewTester(core.Config{SWThreshold: core.DefaultSWThreshold})
-					},
-					NoIntervals:   arm.noIval,
-					IntervalOrder: arm.order,
+				Tester: func() *core.Tester {
+					return core.NewTester(core.Config{SWThreshold: core.DefaultSWThreshold})
 				},
+				NoIntervals:   arm.noIval,
+				IntervalOrder: arm.order,
 			})
 			wall := time.Since(start)
 			if r.check(err) {

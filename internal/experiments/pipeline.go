@@ -12,26 +12,25 @@ import (
 // the emit stage delivered its first batch to the sink), and the number
 // of batches that flowed through the stages.
 type PipelinePoint struct {
-	Config  string // "buffered", "nopipeline", or "batch=<n>"
+	Config  string // "buffered" or "batch=<n>"
 	Wall    time.Duration
 	TTFR    time.Duration
 	Results int
 	Batches int64
 }
 
-// PipelineResult is the batch-size × pipeline-on/off sweep for one join
-// workload, differentially checked against the buffered baseline.
+// PipelineResult is the batch-size sweep for one join workload,
+// differentially checked against the buffered baseline.
 type PipelineResult struct {
 	Workload string
 	Points   []PipelinePoint
 }
 
-// Pipeline measures what the staged pipeline buys on LANDC ⋈ LANDO:
-// time to first row against the buffered parallel join (which cannot
-// deliver anything until the last refine lands), and total wall across
-// batch sizes, plus the NoPipeline ablation arm that runs the same
-// code path without stage overlap. Every arm must reproduce the
-// baseline's result count exactly.
+// Pipeline measures what streaming from the staged pipeline buys on
+// LANDC ⋈ LANDO: time to first row against the same join run without a
+// sink (which delivers nothing until the last refine lands), and total
+// wall across batch sizes. Every arm must reproduce the baseline's
+// result count exactly.
 func (r *Runner) Pipeline() []PipelineResult {
 	a, b := r.Layer("LANDC"), r.Layer("LANDO")
 	res := PipelineResult{Workload: "LANDC⋈LANDO"}
@@ -39,11 +38,11 @@ func (r *Runner) Pipeline() []PipelineResult {
 		len(a.Data.Objects), len(b.Data.Objects))
 	r.printf("%-12s %12s %12s %10s %10s\n", "config", "wall(ms)", "ttfr(ms)", "results", "batches")
 
-	// Buffered baseline: the pre-pipeline parallel driver holds every
-	// pair until refinement finishes, so its first row arrives with its
-	// last — TTFR is the whole wall.
+	// Buffered baseline: with no sink the caller holds every pair until
+	// refinement finishes, so its first row arrives with its last — TTFR
+	// is the whole wall.
 	start := time.Now()
-	basePairs, _, err := query.ParallelIntersectionJoin(r.ctx(), a, b, query.ParallelOptions{})
+	basePairs, _, err := query.PipelineIntersectionJoin(r.ctx(), a, b, query.PipelineOptions{})
 	wall := time.Since(start)
 	if r.check(err) {
 		return nil
@@ -52,24 +51,13 @@ func (r *Runner) Pipeline() []PipelineResult {
 	res.Points = append(res.Points, PipelinePoint{Config: "buffered", Wall: wall, TTFR: wall, Results: base})
 	r.printf("%-12s %12.1f %12.1f %10d %10s\n", "buffered", ms(wall), ms(wall), base, "-")
 
-	arms := []struct {
-		config string
-		batch  int
-		noPipe bool
-	}{
-		{"nopipeline", 0, true},
-		{"batch=64", 64, false},
-		{"batch=256", 256, false},
-		{"batch=1024", 1024, false},
-		{"batch=4096", 4096, false},
-	}
-	for _, arm := range arms {
+	for _, batch := range []int{64, 256, 1024, 4096} {
+		config := fmt.Sprintf("batch=%d", batch)
 		var ttfr time.Duration
 		rows := 0
 		start := time.Now()
 		opt := query.PipelineOptions{
-			BatchSize:  arm.batch,
-			NoPipeline: arm.noPipe,
+			BatchSize: batch,
 			Sink: func(pairs []query.Pair) error {
 				if rows == 0 && len(pairs) > 0 {
 					ttfr = time.Since(start)
@@ -85,14 +73,14 @@ func (r *Runner) Pipeline() []PipelineResult {
 		}
 		if rows != base || len(pairs) != base {
 			r.check(fmt.Errorf("pipeline %s: streamed %d / returned %d pairs, baseline found %d",
-				arm.config, rows, len(pairs), base))
+				config, rows, len(pairs), base))
 			break
 		}
 		res.Points = append(res.Points, PipelinePoint{
-			Config: arm.config, Wall: wall, TTFR: ttfr, Results: rows,
+			Config: config, Wall: wall, TTFR: ttfr, Results: rows,
 			Batches: stats.PipelineBatches,
 		})
-		r.printf("%-12s %12.1f %12.1f %10d %10d\n", arm.config, ms(wall), ms(ttfr), rows, stats.PipelineBatches)
+		r.printf("%-12s %12.1f %12.1f %10d %10d\n", config, ms(wall), ms(ttfr), rows, stats.PipelineBatches)
 	}
 	return []PipelineResult{res}
 }

@@ -98,39 +98,41 @@ func TestBreakerTripsJoinBitIdentical(t *testing.T) {
 }
 
 // TestBreakerSharedAcrossParallelWorkers: one worker's sentinel
-// disagreement degrades the whole parallel join — every worker consults
-// the same layer-pair breaker — and the result stays bit-identical to the
-// software baseline.
+// disagreement degrades the whole join — every worker consults the same
+// layer-pair breaker — and the result stays bit-identical to the
+// software baseline, on the inline schedule and the staged one alike.
 func TestBreakerSharedAcrossParallelWorkers(t *testing.T) {
-	a, b := freshLayers()
-	want := pairSet(mustJoin(t, a, b))
+	for _, workers := range []int{1, 4} {
+		a, b := freshLayers()
+		want := pairSet(mustJoin(t, a, b))
 
-	inj := faultinject.New(13).Inject(faultinject.SiteHWFilter, faultinject.KindWrongAnswer, 1)
-	br := core.NewBreaker(8)
-	a.SetBreaker(b, br)
-	opt := ParallelOptions{
-		Workers: 4,
-		Tester: func() *core.Tester {
-			return core.NewTester(core.Config{SWThreshold: 0, SentinelEvery: 1, Faults: inj})
-		},
-	}
-	got, stats, err := ParallelIntersectionJoin(bg, a, b, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("parallel faulted join: %d results, want %d", len(got), len(want))
-	}
-	for _, pr := range got {
-		if !want[pr] {
-			t.Fatalf("parallel faulted join produced spurious pair %v", pr)
+		inj := faultinject.New(13).Inject(faultinject.SiteHWFilter, faultinject.KindWrongAnswer, 1)
+		br := core.NewBreaker(8)
+		a.SetBreaker(b, br)
+		opt := PipelineOptions{
+			Workers: workers,
+			Tester: func() *core.Tester {
+				return core.NewTester(core.Config{SWThreshold: 0, SentinelEvery: 1, Faults: inj})
+			},
 		}
-	}
-	if br.Trips() == 0 {
-		t.Error("shared breaker never tripped")
-	}
-	if stats.SentinelChecks == 0 {
-		t.Error("no sentinel checks recorded in summed worker stats")
+		got, stats, err := PipelineIntersectionJoin(bg, a, b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: faulted join: %d results, want %d", workers, len(got), len(want))
+		}
+		for _, pr := range got {
+			if !want[pr] {
+				t.Fatalf("workers=%d: faulted join produced spurious pair %v", workers, pr)
+			}
+		}
+		if br.Trips() == 0 {
+			t.Errorf("workers=%d: shared breaker never tripped", workers)
+		}
+		if stats.SentinelChecks == 0 {
+			t.Errorf("workers=%d: no sentinel checks recorded in summed worker stats", workers)
+		}
 	}
 }
 

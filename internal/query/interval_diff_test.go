@@ -9,8 +9,8 @@ import (
 )
 
 // TestIntervalJoinDifferentialGrid is the interval subsystem's acceptance
-// differential: across {serial, pipeline, per-pair ablation} × {intervals
-// on, intervals off} × {derived grid, forced orders} × {in-memory,
+// differential: across {serial, one-worker and four-worker executor} ×
+// {intervals on, intervals off} × {derived grid, forced orders} × {in-memory,
 // snapshot-backed} the join result must be bit-identical — the interval
 // filter may only change which stage resolves a pair, never the answer.
 // The snapshot-backed intervals-off leg is the v1 raster-signature path,
@@ -58,22 +58,19 @@ func TestIntervalJoinDifferentialGrid(t *testing.T) {
 			}
 			checkStatsPartition(t, "serial intervals", ser.Stats)
 
-			// Pipeline and per-pair ablation, intervals on/off, grid orders.
+			// Inline and staged schedules, intervals on/off, grid orders.
 			for _, order := range []int{0, 6, 9} {
 				for _, noIval := range []bool{false, true} {
-					for _, noPipe := range []bool{false, true} {
+					for _, workers := range []int{1, 4} {
 						if noIval && order != 0 {
 							continue // order is meaningless with intervals off
 						}
-						name := fmt.Sprintf("order=%d nointervals=%v nopipeline=%v", order, noIval, noPipe)
+						name := fmt.Sprintf("order=%d nointervals=%v workers=%d", order, noIval, workers)
 						opt := PipelineOptions{
-							ParallelOptions: ParallelOptions{
-								Workers:       4,
-								Tester:        swTester,
-								NoIntervals:   noIval,
-								IntervalOrder: order,
-							},
-							NoPipeline: noPipe,
+							Workers:       workers,
+							Tester:        swTester,
+							NoIntervals:   noIval,
+							IntervalOrder: order,
 						}
 						got, stats, err := PipelineIntersectionJoin(bg, a, b, opt)
 						if err != nil {
@@ -119,9 +116,7 @@ func TestIntervalJoinDifferentialSynthetic(t *testing.T) {
 	}
 	checkStatsPartition(t, "synthetic serial", tester.Stats)
 
-	pgot, pstats, err := PipelineIntersectionJoin(bg, a, b, PipelineOptions{
-		ParallelOptions: ParallelOptions{Workers: 4, Tester: swTester},
-	})
+	pgot, pstats, err := PipelineIntersectionJoin(bg, a, b, PipelineOptions{Workers: 4, Tester: swTester})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +148,7 @@ func TestIntervalConcurrentLazyBuild(t *testing.T) {
 			if i%2 == 1 {
 				order = 8
 			}
-			got, _, err := ParallelIntersectionJoin(bg, a, b, ParallelOptions{
+			got, _, err := PipelineIntersectionJoin(bg, a, b, PipelineOptions{
 				Workers: 2, Tester: swTester, IntervalOrder: order,
 			})
 			if err != nil {

@@ -136,12 +136,14 @@ func TestLiveViewParity(t *testing.T) {
 	}
 	samePairs(t, "within-join", gotW, wantW)
 
-	// Parallel join agrees with the serial composed join.
-	gotP, _, err := ParallelIntersectionJoinView(bg, v, v, ParallelOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	// Both executor schedules agree with the serial composed join.
+	for _, workers := range []int{1, 4} {
+		gotP, _, err := PipelineIntersectionJoinView(bg, v, v, PipelineOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePairs(t, fmt.Sprintf("pipeline-join workers=%d", workers), gotP, want)
 	}
-	samePairs(t, "parallel-join", gotP, want)
 
 	// Freeze produces the canonical state: same objects, increasing ids.
 	fr := lv.Freeze()

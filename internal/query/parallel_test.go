@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -9,25 +10,13 @@ import (
 )
 
 func TestParallelIntersectionJoinMatchesSerial(t *testing.T) {
-	sw := core.NewTester(core.Config{DisableHardware: true})
-	want, _, err := IntersectionJoin(bg, layerA, layerB, sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 2, 7} {
-		got, stats, err := ParallelIntersectionJoin(bg, layerA, layerB, ParallelOptions{Workers: workers})
+	want := oracleJoin(layerA, layerB)
+	for _, workers := range []int{0, 1, 2, 4, 7} {
+		got, stats, err := PipelineIntersectionJoin(bg, layerA, layerB, PipelineOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, w := sortedPairs(got), sortedPairs(want)
-		if len(g) != len(w) {
-			t.Fatalf("workers=%d: %d pairs, want %d", workers, len(g), len(w))
-		}
-		for i := range w {
-			if g[i] != w[i] {
-				t.Fatalf("workers=%d: pair %d = %v, want %v", workers, i, g[i], w[i])
-			}
-		}
+		samePairsExact(t, fmt.Sprintf("workers=%d", workers), sortedPairs(got), want)
 		if stats.Tests == 0 {
 			t.Errorf("workers=%d: no stats gathered", workers)
 		}
@@ -36,67 +25,61 @@ func TestParallelIntersectionJoinMatchesSerial(t *testing.T) {
 
 func TestParallelWithinDistanceJoinMatchesSerial(t *testing.T) {
 	d := data.BaseD(layerA.Data, layerB.Data)
-	sw := core.NewTester(core.Config{DisableHardware: true})
-	want, _, err := WithinDistanceJoin(bg, layerA, layerB, d, sw, DistanceFilterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, stats, err := ParallelWithinDistanceJoin(bg, layerA, layerB, d, ParallelOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, w := sortedPairs(got), sortedPairs(want)
-	if len(g) != len(w) {
-		t.Fatalf("%d pairs, want %d", len(g), len(w))
-	}
-	for i := range w {
-		if g[i] != w[i] {
-			t.Fatalf("pair %d = %v, want %v", i, g[i], w[i])
+	want := oracleWithin(layerA, layerB, d)
+	for _, workers := range []int{1, 4} {
+		name := fmt.Sprintf("workers=%d", workers)
+		got, stats, err := PipelineWithinDistanceJoin(bg, layerA, layerB, d, PipelineOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Every test was accounted to exactly one resolution path.
-	accounted := stats.MBRRejects + stats.IntervalTrueHits + stats.IntervalRejects + stats.PIPHits + stats.SigRejects + stats.SWDirect +
-		stats.HWRejects + stats.HWPassed + stats.HWFallbacks
-	if accounted != stats.Tests {
-		t.Errorf("stats do not partition tests: %+v", stats)
+		samePairsExact(t, name, sortedPairs(got), want)
+		// Every test was accounted to exactly one resolution path.
+		checkStatsPartition(t, name, stats)
 	}
 }
 
+// TestParallelCustomTester: the factory runs once per worker — one for
+// the inline schedule, one per filter and refine worker for the staged
+// one — so the counter must be atomic.
 func TestParallelCustomTester(t *testing.T) {
-	// The factory runs once per worker goroutine, so the counter must be
-	// atomic.
-	var made atomic.Int32
-	opt := ParallelOptions{
-		Workers: 3,
-		Tester: func() *core.Tester {
-			made.Add(1)
-			return core.NewTester(core.Config{DisableHardware: true})
-		},
-	}
-	if _, _, err := ParallelIntersectionJoin(bg, layerA, layerB, opt); err != nil {
-		t.Fatal(err)
-	}
-	if n := made.Load(); n != 3 {
-		t.Errorf("tester factory called %d times, want 3", n)
+	for _, tc := range []struct{ workers, want int32 }{{1, 1}, {4, 4 + 2}} {
+		var made atomic.Int32
+		opt := PipelineOptions{
+			Workers: int(tc.workers),
+			// Small batches give every refine worker a batch.
+			BatchSize: 8,
+			Tester: func() *core.Tester {
+				made.Add(1)
+				return core.NewTester(core.Config{DisableHardware: true})
+			},
+		}
+		if _, _, err := PipelineIntersectionJoin(bg, layerA, layerB, opt); err != nil {
+			t.Fatal(err)
+		}
+		if n := made.Load(); n != tc.want {
+			t.Errorf("workers=%d: tester factory called %d times, want %d", tc.workers, n, tc.want)
+		}
 	}
 }
 
 func TestParallelEmptyLayers(t *testing.T) {
 	empty := NewLayer(&data.Dataset{Name: "empty"})
-	pairs, _, err := ParallelIntersectionJoin(bg, empty, layerB, ParallelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != 0 {
-		t.Error("empty layer produced pairs")
+	for _, workers := range []int{1, 4} {
+		pairs, _, err := PipelineIntersectionJoin(bg, empty, layerB, PipelineOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pairs) != 0 {
+			t.Errorf("workers=%d: empty layer produced pairs", workers)
+		}
 	}
 }
 
 func BenchmarkParallelJoin(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
-		b.Run(b.Name()+"-w"+string(rune('0'+workers)), func(b *testing.B) {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
 			for range b.N {
-				_, _, _ = ParallelIntersectionJoin(bg, layerA, layerB, ParallelOptions{Workers: workers})
+				_, _, _ = PipelineIntersectionJoin(bg, layerA, layerB, PipelineOptions{Workers: workers})
 			}
 		})
 	}

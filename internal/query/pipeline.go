@@ -2,43 +2,75 @@ package query
 
 import (
 	"context"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/filter"
 	"repro/internal/rtree"
 )
 
-// This file implements the staged batch pipeline for joins: candidate
-// generation → filter (MBR / containment / persisted-signature, the
-// render-free front of Algorithm 3.1) → refine (hardware filter + exact
-// software tests) → emit, with bounded batch queues between the stages
-// and a worker pool per stage. Batching keeps each stage's working set
-// hot (the filter stage runs dense and branch-light over whole batches,
-// modeled on 3DPipe's pipelined join framework), and the emit stage
-// delivers refined batches to a streaming sink as they complete — clients
-// measure time-to-first-row instead of time-to-last-row.
+// This file implements the one join executor: the paper's Figure-8
+// filter-and-refine algorithm — MBR candidate generation, an optional
+// intermediate-filter pre-pass, then the tester's filter and refine
+// calls — with the worker count choosing the schedule and nothing else.
 //
-// Determinism: batches are numbered at generation and the emit stage
-// restores sequence order, so with the default locality order the
-// complete result — returned and streamed — is exactly the serial
-// driver's candidate-sorted output, bit for bit. Config.NoPipeline (or
-// PipelineOptions.NoPipeline) reconstructs the pre-pipeline per-pair
-// worker path, emitting one final batch; differential tests pin the two
-// paths identical.
+// Workers == 1 refines each batch inline on the calling goroutine with
+// one tester: the paper's serial Figure-8 loop, which IntersectionJoinOpt
+// and WithinDistanceJoin run with the caller's tester. Workers > 1 runs the
+// staged batch pipeline: generation → filter (MBR / containment /
+// persisted-signature, the render-free front of Algorithm 3.1) → refine
+// (hardware filter + exact software tests) → emit, with bounded batch
+// queues between the stages and a worker pool per stage. Batching keeps
+// each stage's working set hot (the filter stage runs dense and
+// branch-light over whole batches, modeled on 3DPipe's pipelined join
+// framework), and the emit stage delivers refined batches to a streaming
+// sink as they complete — clients measure time-to-first-row instead of
+// time-to-last-row.
+//
+// Determinism: pre-pass hits come first, in candidate order; the rest
+// are refined in locality order, cut into the same batches on both
+// schedules, and the staged emit restores batch sequence order. So the
+// complete result — returned and streamed — is identical, bit for bit,
+// whatever the worker count or batch size; differential tests pin this.
 
-// PipelineOptions configure the staged batch join drivers.
+// PipelineOptions configure the join executor as the Pipeline* entry
+// points expose it.
 type PipelineOptions struct {
-	ParallelOptions
-
-	// BatchSize is the candidate-pair batch size; 0 falls back to the
-	// tester configuration's Config.BatchSize, then core.DefaultBatchSize.
+	// Workers is the number of refinement workers; 0 means GOMAXPROCS.
+	// One worker refines inline on the calling goroutine; more run the
+	// staged pipeline.
+	Workers int
+	// Tester builds each worker's refinement tester. Every worker needs
+	// its own (a Tester owns a rendering context, like a per-thread GL
+	// context); nil means hardware-assisted defaults.
+	Tester func() *core.Tester
+	// MaxCandidates, when positive, aborts the join with a *BudgetError
+	// if the MBR join yields more candidate pairs than this.
+	MaxCandidates int
+	// NoEdgeIndex and NoLocalityOrder are the refinement ablation knobs,
+	// as in JoinOptions: they disable the shared per-object edge indexes
+	// and the outer-object candidate ordering / group-aligned batching.
+	NoEdgeIndex     bool
+	NoLocalityOrder bool
+	// NoBreaker detaches the layer pair's circuit breaker; see
+	// SelectionOptions.NoBreaker.
+	NoBreaker bool
+	// NoSignatures disables the persisted raster-signature filter; see
+	// SelectionOptions.NoSignatures.
+	NoSignatures bool
+	// NoIntervals disables the v2 interval-approximation filter; see
+	// SelectionOptions.NoIntervals.
+	NoIntervals bool
+	// IntervalOrder forces the shared interval grid's order; see
+	// JoinOptions.IntervalOrder.
+	IntervalOrder int
+	// BatchSize is the candidate-pair batch size; 0 means
+	// core.DefaultBatchSize.
 	BatchSize int
-	// NoPipeline reconstructs the per-pair worker path (one emit at the
-	// end); OR-ed with the tester configuration's Config.NoPipeline.
-	NoPipeline bool
 	// Sink, when non-nil, receives each completed batch's positive pairs
 	// in sequence order as refinement finishes, from the calling
 	// goroutine. The slice is reused between calls — consume it before
@@ -47,6 +79,311 @@ type PipelineOptions struct {
 	// error surfaces as the *PartialError cause (the streaming wind-down
 	// path).
 	Sink func(pairs []Pair) error
+}
+
+func (o PipelineOptions) workers() int {
+	if o.Workers > 0 {
+		return o.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+func (o PipelineOptions) newTester() *core.Tester {
+	if o.Tester != nil {
+		return o.Tester()
+	}
+	return core.NewTester(core.Config{SWThreshold: core.DefaultSWThreshold})
+}
+
+// PipelineIntersectionJoin computes IntersectionJoinOpt's result set,
+// streaming completed batches to opt.Sink. The result slice (and the
+// concatenated sink batches) are in candidate order — with the default
+// locality order, sorted by (A, B).
+func PipelineIntersectionJoin(ctx context.Context, a, b *Layer, opt PipelineOptions) ([]Pair, core.Stats, error) {
+	return PipelineIntersectionJoinView(ctx, a.View(), b.View(), opt)
+}
+
+// PipelineWithinDistanceJoin is PipelineIntersectionJoin for the buffer
+// query, without the 0-/1-Object pre-pass.
+func PipelineWithinDistanceJoin(ctx context.Context, a, b *Layer, d float64, opt PipelineOptions) ([]Pair, core.Stats, error) {
+	return PipelineWithinDistanceJoinView(ctx, a.View(), b.View(), d, opt)
+}
+
+// PipelineIntersectionJoinView is PipelineIntersectionJoin over views;
+// see joinViews for how composed views merge.
+func PipelineIntersectionJoinView(ctx context.Context, a, b *View, opt PipelineOptions) ([]Pair, core.Stats, error) {
+	pairs, _, stats, err := joinViews(a, b, opt, func(x, y *Layer, o PipelineOptions) ([]Pair, Cost, core.Stats, error) {
+		return runJoin(ctx, intersectsPlan(x, y, "pipeline-join", false, o), o, nil)
+	})
+	return pairs, stats, err
+}
+
+// PipelineWithinDistanceJoinView is PipelineIntersectionJoinView for the
+// buffer query.
+func PipelineWithinDistanceJoinView(ctx context.Context, a, b *View, d float64, opt PipelineOptions) ([]Pair, core.Stats, error) {
+	pairs, _, stats, err := joinViews(a, b, opt, func(x, y *Layer, o PipelineOptions) ([]Pair, Cost, core.Stats, error) {
+		return runJoin(ctx, withinPlan(x, y, d, "pipeline-within-join", false, false, o), o, nil)
+	})
+	return pairs, stats, err
+}
+
+// pairTests are one predicate's per-pair tester calls: the staged
+// pipeline's filter and refine halves, and the whole test that the
+// inline schedule and post-panic software retries run.
+type pairTests struct {
+	filter func(*core.Tester, Pair) core.Verdict
+	refine func(*core.Tester, Pair) bool
+	full   func(*core.Tester, Pair) bool
+}
+
+// joinPlan is one predicate's Figure-8 recipe.
+type joinPlan struct {
+	op string
+	// generate runs stage 1, the MBR filter.
+	generate func(visit func(ea, eb rtree.Entry) bool)
+	// prepass, when non-nil, is the stage-2 intermediate filter: it splits
+	// the candidates into proven hits (in candidate order) and the pairs
+	// left to refine, dropping proven misses.
+	prepass func(cands []Pair) (hits, rest []Pair)
+	// tests binds stage 3's per-pair tests. It runs once the candidates
+	// are known, because binding may build the layers' interval columns.
+	tests func() pairTests
+}
+
+// intersectsPlan is the intersection join's plan; hull enables
+// Brinkhoff's convex-hull pre-pass.
+func intersectsPlan(a, b *Layer, op string, hull bool, opt PipelineOptions) joinPlan {
+	plan := joinPlan{
+		op:       op,
+		generate: func(visit func(ea, eb rtree.Entry) bool) { rtree.Join(a.Index, b.Index, visit) },
+		tests: func() pairTests {
+			iva, ivb := intervalColumns(a, b, opt.NoIntervals, opt.IntervalOrder)
+			pcFor := pairContexts(a, b, opt.NoEdgeIndex, opt.NoBreaker, opt.NoSignatures, iva, ivb)
+			pa, pb := a.Data.Objects, b.Data.Objects
+			return pairTests{
+				filter: func(t *core.Tester, pr Pair) core.Verdict {
+					return t.FilterIntersects(pa[pr.A], pb[pr.B], pcFor(pr))
+				},
+				refine: func(t *core.Tester, pr Pair) bool {
+					return t.RefineIntersects(pa[pr.A], pb[pr.B], pcFor(pr))
+				},
+				full: func(t *core.Tester, pr Pair) bool {
+					return t.IntersectsCtx(pa[pr.A], pb[pr.B], pcFor(pr))
+				},
+			}
+		},
+	}
+	if hull {
+		// Hull construction happens lazily on first use and is charged to
+		// the intermediate-filter stage of that first query.
+		plan.prepass = func(cands []Pair) (hits, rest []Pair) {
+			ha, hb := a.Hulls(), b.Hulls()
+			rest = cands[:0]
+			for _, pr := range cands {
+				if filter.PairMayIntersect(ha, pr.A, hb, pr.B) {
+					rest = append(rest, pr)
+				}
+			}
+			return nil, rest
+		}
+	}
+	return plan
+}
+
+// withinPlan is the within-distance join's plan; use0 and use1 enable the
+// 0-Object and 1-Object distance upper bounds as the pre-pass. MBR
+// distance lower-bounds object distance, so the MBR join loses no pair.
+func withinPlan(a, b *Layer, d float64, op string, use0, use1 bool, opt PipelineOptions) joinPlan {
+	plan := joinPlan{
+		op:       op,
+		generate: func(visit func(ea, eb rtree.Entry) bool) { rtree.JoinWithin(a.Index, b.Index, d, visit) },
+		tests: func() pairTests {
+			pcFor := pairContexts(a, b, opt.NoEdgeIndex, opt.NoBreaker, opt.NoSignatures, nil, nil)
+			pa, pb := a.Data.Objects, b.Data.Objects
+			return pairTests{
+				filter: func(t *core.Tester, pr Pair) core.Verdict {
+					return t.FilterWithin(pa[pr.A], pb[pr.B], d, pcFor(pr))
+				},
+				refine: func(t *core.Tester, pr Pair) bool {
+					return t.RefineWithin(pa[pr.A], pb[pr.B], d, pcFor(pr))
+				},
+				full: func(t *core.Tester, pr Pair) bool {
+					return t.WithinDistanceCtx(pa[pr.A], pb[pr.B], d, pcFor(pr))
+				},
+			}
+		},
+	}
+	if use0 || use1 {
+		plan.prepass = func(cands []Pair) (hits, rest []Pair) {
+			rest = cands[:0]
+			for _, pr := range cands {
+				pa, pb := a.Data.Objects[pr.A], b.Data.Objects[pr.B]
+				if use0 && filter.UpperBound0(pa.Bounds(), pb.Bounds()) <= d {
+					hits = append(hits, pr)
+					continue
+				}
+				if use1 {
+					// Use the larger object's geometry against the smaller
+					// object's MBR.
+					big, smallBounds := pa, pb.Bounds()
+					if pb.NumVerts() > pa.NumVerts() {
+						big, smallBounds = pb, pa.Bounds()
+					}
+					if filter.UpperBound1(big, smallBounds) <= d {
+						hits = append(hits, pr)
+						continue
+					}
+				}
+				rest = append(rest, pr)
+			}
+			return hits, rest
+		}
+	}
+	return plan
+}
+
+// runJoin is the join executor. tester, when non-nil, is the caller's
+// tester for the Workers == 1 schedule: its Stats accumulate in place and
+// the returned Stats carry only the executor's own counters. Otherwise
+// every worker's tester comes from opt.Tester and the returned Stats sum
+// them. Cost records each Figure-8 stage; Compared counts the refined
+// candidates.
+func runJoin(ctx context.Context, plan joinPlan, opt PipelineOptions, tester *core.Tester) ([]Pair, Cost, core.Stats, error) {
+	var cost Cost
+	start := time.Now()
+	col := collector[Pair]{ctx: ctx, op: plan.op, budget: opt.MaxCandidates}
+	plan.generate(func(ea, eb rtree.Entry) bool {
+		return col.add(Pair{ea.ID, eb.ID})
+	})
+	cands := col.items
+	cost.MBRFilter = time.Since(start)
+	cost.Candidates = len(cands)
+	if col.err != nil {
+		return nil, cost, core.Stats{}, col.err
+	}
+
+	var hits []Pair
+	if plan.prepass != nil {
+		start = time.Now()
+		hits, cands = plan.prepass(cands)
+		cost.IntermediateFilter = time.Since(start)
+		cost.FilterHits = len(hits)
+		cost.FilterRejects = cost.Candidates - len(hits) - len(cands)
+	}
+
+	// Refinement visits pairs in outer-object order so each outer
+	// polygon's data (and its edge index) is touched in one run.
+	start = time.Now()
+	if !opt.NoLocalityOrder {
+		sortPairsByOuter(cands)
+	}
+	results, done, stats, err := refineJoin(ctx, plan.op, hits, cands, plan.tests(), opt, tester)
+	cost.GeometryComparison = time.Since(start)
+	cost.Compared = done
+	cost.Results = len(results)
+	return results, cost, stats, err
+}
+
+// refineJoin emits the pre-pass hits, then refines cands on the schedule
+// the worker count picks, appending positives after the hits. done counts
+// the refined candidates.
+//
+// Both schedules share the failure semantics: a panicking test is
+// retried on the software path and quarantined if that panics too (see
+// worker.retry), cancellation returns the pairs refined so far with a
+// *PartialError, and no goroutine outlives the call.
+func refineJoin(ctx context.Context, op string, hits, cands []Pair, tests pairTests, opt PipelineOptions, tester *core.Tester) ([]Pair, int, core.Stats, error) {
+	var stats core.Stats
+	if opt.Sink != nil && len(hits) > 0 {
+		if err := opt.Sink(hits); err != nil {
+			return hits, 0, stats, &PartialError{Op: op, Done: 0, Total: len(cands), Err: err}
+		}
+		stats.StreamRowsEmitted += int64(len(hits))
+	}
+	batch := opt.BatchSize
+	if batch <= 0 {
+		batch = core.DefaultBatchSize
+	}
+	if opt.workers() > 1 {
+		results, done, err := refineStaged(ctx, op, hits, cands, tests, opt, batch, &stats)
+		return results, done, stats, err
+	}
+	t := tester
+	if t == nil {
+		t = opt.newTester()
+	}
+	results, done, err := refineInline(ctx, op, hits, cands, tests.full, opt, batch, t, &stats)
+	if tester == nil {
+		stats.Add(t.Stats)
+	}
+	return results, done, stats, err
+}
+
+// batchEnd returns the end of the batch that starts at lo. With locality
+// order on, a batch extends past the nominal size to the end of the
+// current outer object's run (bounded at 4×), so one outer polygon's
+// pairs — and its lazily built edge index — stay on one worker pass.
+func batchEnd(cands []Pair, lo, batch int, group bool) int {
+	hi := min(lo+batch, len(cands))
+	if group {
+		limit := min(lo+4*batch, len(cands))
+		for hi < limit && cands[hi].A == cands[hi-1].A {
+			hi++
+		}
+	}
+	return hi
+}
+
+// refineInline is the Workers == 1 schedule: each batch is refined on the
+// calling goroutine, one whole per-pair test at a time, with ctx checked
+// every cancelStride pairs, then handed to the sink.
+func refineInline(ctx context.Context, op string, results, cands []Pair, full func(*core.Tester, Pair) bool,
+	opt PipelineOptions, batch int, t *core.Tester, stats *core.Stats) ([]Pair, int, error) {
+
+	start := time.Now()
+	w := &worker{t: t}
+	// The retry tester's counters fold into t, which on the serial entry
+	// points is the caller's tester.
+	defer func() {
+		stats.PipelineRefineNS += int64(time.Since(start))
+		if w.sw != nil {
+			t.Stats.Add(w.sw.Stats)
+		}
+	}()
+	emitted := len(results)
+	flush := func() error {
+		if opt.Sink == nil || len(results) == emitted {
+			return nil
+		}
+		if err := opt.Sink(results[emitted:]); err != nil {
+			return err
+		}
+		stats.StreamRowsEmitted += int64(len(results) - emitted)
+		emitted = len(results)
+		return nil
+	}
+	for lo, i := 0, 0; lo < len(cands); lo = i {
+		hi := batchEnd(cands, lo, batch, !opt.NoLocalityOrder)
+		for ; i < hi; i++ {
+			if i%cancelStride == 0 && ctx.Err() != nil {
+				_ = flush() // best effort: the refined rows stream out too
+				return results, i, &PartialError{Op: op, Done: i, Total: len(cands), Err: ctxCause(ctx)}
+			}
+			pr := cands[i]
+			keep, panicked := safeCall(t, pr, full)
+			if panicked {
+				keep = w.retry(pr, full)
+			}
+			if keep {
+				results = append(results, pr)
+			}
+		}
+		stats.PipelineBatches++
+		if err := flush(); err != nil {
+			return results, hi, &PartialError{Op: op, Done: hi, Total: len(cands), Err: err}
+		}
+	}
+	return results, len(cands), nil
 }
 
 // pipeBatch is one candidate batch traveling through the stage queues.
@@ -61,159 +398,6 @@ type pipeBatch struct {
 	undecided []int32
 }
 
-// PipelineIntersectionJoin computes the same result set as
-// IntersectionJoinOpt through the staged batch pipeline, streaming
-// completed batches to opt.Sink. The result slice (and the concatenated
-// sink batches) are in candidate order — with the default locality order,
-// sorted by (A, B). Cancellation, budget, and panic-quarantine semantics
-// match ParallelIntersectionJoin.
-func PipelineIntersectionJoin(ctx context.Context, a, b *Layer, opt PipelineOptions) ([]Pair, core.Stats, error) {
-	col := collector[Pair]{ctx: ctx, op: "pipeline-join", budget: opt.MaxCandidates}
-	rtree.Join(a.Index, b.Index, func(ea, eb rtree.Entry) bool {
-		return col.add(Pair{ea.ID, eb.ID})
-	})
-	if col.err != nil {
-		return nil, core.Stats{}, col.err
-	}
-	if !opt.NoLocalityOrder {
-		sortPairsByOuter(col.items)
-	}
-	iva, ivb := intervalColumns(a, b, opt.NoIntervals, opt.IntervalOrder)
-	pcFor := pairContexts(a, b, opt.NoEdgeIndex, opt.NoBreaker, opt.NoSignatures, iva, ivb)
-	return pipelineRun(ctx, col.items, opt, "pipeline-join",
-		func(t *core.Tester, pr Pair) core.Verdict {
-			return t.FilterIntersects(a.Data.Objects[pr.A], b.Data.Objects[pr.B], pcFor(pr))
-		},
-		func(t *core.Tester, pr Pair) bool {
-			return t.RefineIntersects(a.Data.Objects[pr.A], b.Data.Objects[pr.B], pcFor(pr))
-		},
-		func(t *core.Tester, pr Pair) bool {
-			return t.IntersectsCtx(a.Data.Objects[pr.A], b.Data.Objects[pr.B], pcFor(pr))
-		})
-}
-
-// PipelineWithinDistanceJoin is PipelineIntersectionJoin for the buffer
-// query (no intermediate distance filters, matching
-// ParallelWithinDistanceJoin).
-func PipelineWithinDistanceJoin(ctx context.Context, a, b *Layer, d float64, opt PipelineOptions) ([]Pair, core.Stats, error) {
-	col := collector[Pair]{ctx: ctx, op: "pipeline-within-join", budget: opt.MaxCandidates}
-	rtree.JoinWithin(a.Index, b.Index, d, func(ea, eb rtree.Entry) bool {
-		return col.add(Pair{ea.ID, eb.ID})
-	})
-	if col.err != nil {
-		return nil, core.Stats{}, col.err
-	}
-	if !opt.NoLocalityOrder {
-		sortPairsByOuter(col.items)
-	}
-	pcFor := pairContexts(a, b, opt.NoEdgeIndex, opt.NoBreaker, opt.NoSignatures, nil, nil)
-	return pipelineRun(ctx, col.items, opt, "pipeline-within-join",
-		func(t *core.Tester, pr Pair) core.Verdict {
-			return t.FilterWithin(a.Data.Objects[pr.A], b.Data.Objects[pr.B], d, pcFor(pr))
-		},
-		func(t *core.Tester, pr Pair) bool {
-			return t.RefineWithin(a.Data.Objects[pr.A], b.Data.Objects[pr.B], d, pcFor(pr))
-		},
-		func(t *core.Tester, pr Pair) bool {
-			return t.WithinDistanceCtx(a.Data.Objects[pr.A], b.Data.Objects[pr.B], d, pcFor(pr))
-		})
-}
-
-// PipelineIntersectionJoinView composes PipelineIntersectionJoin across
-// the views' components. Single×single views take the exact single-layer
-// path; composed views stream each component join through a
-// canonical-remapping sink (tombstoned participants dropped) and return
-// the union sorted by (A, B).
-func PipelineIntersectionJoinView(ctx context.Context, a, b *View, opt PipelineOptions) ([]Pair, core.Stats, error) {
-	la, aok := a.Single()
-	lb, bok := b.Single()
-	if aok && bok {
-		return PipelineIntersectionJoin(ctx, la, lb, opt)
-	}
-	return composePipelineJoin(a, b, opt, func(x, y *Layer, o PipelineOptions) ([]Pair, core.Stats, error) {
-		return PipelineIntersectionJoin(ctx, x, y, o)
-	})
-}
-
-// PipelineWithinDistanceJoinView is PipelineIntersectionJoinView for the
-// buffer query.
-func PipelineWithinDistanceJoinView(ctx context.Context, a, b *View, d float64, opt PipelineOptions) ([]Pair, core.Stats, error) {
-	la, aok := a.Single()
-	lb, bok := b.Single()
-	if aok && bok {
-		return PipelineWithinDistanceJoin(ctx, la, lb, d, opt)
-	}
-	return composePipelineJoin(a, b, opt, func(x, y *Layer, o PipelineOptions) ([]Pair, core.Stats, error) {
-		return PipelineWithinDistanceJoin(ctx, x, y, d, o)
-	})
-}
-
-// composePipelineJoin runs a pipeline join per component combination,
-// remapping streamed batches to canonical positions inside the sink so
-// composed views still deliver rows incrementally.
-func composePipelineJoin(a, b *View, opt PipelineOptions, join func(x, y *Layer, o PipelineOptions) ([]Pair, core.Stats, error)) ([]Pair, core.Stats, error) {
-	var out []Pair
-	var stats core.Stats
-	for _, ca := range a.components() {
-		for _, cb := range b.components() {
-			o := opt
-			if opt.Sink != nil {
-				canonA, canonB := ca.canon, cb.canon
-				var remapped []Pair
-				o.Sink = func(pairs []Pair) error {
-					remapped = remapped[:0]
-					for _, pr := range pairs {
-						pa, pb := canonA(pr.A), canonB(pr.B)
-						if pa >= 0 && pb >= 0 {
-							remapped = append(remapped, Pair{int(pa), int(pb)})
-						}
-					}
-					if len(remapped) == 0 {
-						return nil
-					}
-					return opt.Sink(remapped)
-				}
-			}
-			pairs, st, err := join(ca.layer, cb.layer, o)
-			stats.Add(st)
-			for _, pr := range pairs {
-				pa, pb := ca.canon(pr.A), cb.canon(pr.B)
-				if pa >= 0 && pb >= 0 {
-					out = append(out, Pair{int(pa), int(pb)})
-				}
-			}
-			if err != nil {
-				if _, ok := err.(*BudgetError); ok {
-					return nil, stats, err
-				}
-				sortPairsByOuter(out)
-				return out, stats, err
-			}
-		}
-	}
-	sortPairsByOuter(out)
-	return out, stats, nil
-}
-
-// resolvePipeline reads the effective batch size and ablation flag from
-// the options and the tester factory's configuration. The tester built
-// to probe the configuration is returned for reuse as the first
-// worker's — a Tester owns a raster rendering context (a
-// resolution-squared buffer), too expensive to build and discard once
-// per pipeline join (once per component pair for composed views).
-func resolvePipeline(opt PipelineOptions) (batch int, noPipe bool, seed *core.Tester) {
-	seed = opt.newTester()
-	cfg := seed.Config()
-	batch = opt.BatchSize
-	if batch <= 0 {
-		batch = cfg.BatchSize
-	}
-	if batch <= 0 {
-		batch = core.DefaultBatchSize
-	}
-	return batch, opt.NoPipeline || cfg.NoPipeline, seed
-}
-
 // maxInt64 raises the atomic gauge to v if larger (the queue-depth
 // high-water mark shared by the stage goroutines).
 func maxInt64(g *atomic.Int64, v int64) {
@@ -225,62 +409,25 @@ func maxInt64(g *atomic.Int64, v int64) {
 	}
 }
 
-// pipelineRun drives candidates through the staged pipeline.
+// refineStaged is the Workers > 1 schedule, the staged pipeline.
 //
-// Topology: a generator goroutine cuts the (locality-sorted) candidate
-// slice into batches aligned to outer-object group boundaries and feeds a
-// bounded filter queue; filter workers resolve the render-free verdicts
-// and pass batches to a bounded refine queue; refine workers decide the
-// undecided pairs; the emit stage — the calling goroutine — restores
-// sequence order and hands each completed batch to the sink. Bounded
-// queues give backpressure end to end: a slow sink (a congested client
-// connection) stalls emit, which stalls refine, which stalls filter and
-// generation, so in-flight memory stays proportional to
+// Topology: a generator goroutine cuts the candidate slice into batches
+// (see batchEnd) and feeds a bounded filter queue; filter workers resolve
+// the render-free verdicts and pass batches to a bounded refine queue;
+// refine workers decide the undecided pairs; the emit stage — the calling
+// goroutine — restores sequence order and hands each completed batch to
+// the sink. Bounded queues give backpressure end to end: a slow sink (a
+// congested client connection) stalls emit, which stalls refine, which
+// stalls filter and generation, so in-flight memory stays proportional to
 // workers × batch size, never to the result set.
 //
-// Failure semantics match parallelRefine: a panicking filter verdict is
-// retried as a whole test on a software-only tester; a panicking refine
-// is retried refine-only (its filter half already counted); a second
-// panic quarantines the pair. Workers check ctx per pair and the whole
-// pipeline winds down through channel closes — no goroutine outlives the
-// call. A sink error cancels the pipeline's derived context and surfaces
-// as the *PartialError cause.
-func pipelineRun(ctx context.Context, candidates []Pair, opt PipelineOptions, op string,
-	filter func(*core.Tester, Pair) core.Verdict,
-	refine func(*core.Tester, Pair) bool,
-	full func(*core.Tester, Pair) bool) ([]Pair, core.Stats, error) {
-
-	batch, noPipe, seed := resolvePipeline(opt)
-	// The config-probe tester seeds exactly one worker (whichever asks
-	// first); everyone else builds their own as before.
-	var seedUsed atomic.Bool
-	newTester := func() *core.Tester {
-		if seedUsed.CompareAndSwap(false, true) {
-			return seed
-		}
-		return opt.newTester()
-	}
-	if noPipe {
-		// Ablation: the pre-pipeline per-pair worker path. One terminal
-		// emit models the buffered delivery the pipeline replaces.
-		po := opt.ParallelOptions
-		po.Tester = newTester
-		pairs, stats, err := parallelRefine(ctx, candidates, po, op, full)
-		sortPairsByOuter(pairs)
-		if _, budget := err.(*BudgetError); !budget && opt.Sink != nil && len(pairs) > 0 {
-			if serr := opt.Sink(pairs); serr != nil {
-				if err == nil {
-					err = &PartialError{Op: op, Done: len(candidates), Total: len(candidates), Err: serr}
-				}
-			} else {
-				// Count only successfully sunk rows, exactly like the
-				// pipelined emit stage — the two modes must not diverge on
-				// this counter in the sink-failure case.
-				stats.StreamRowsEmitted += int64(len(pairs))
-			}
-		}
-		return pairs, stats, err
-	}
+// A panicking filter verdict is retried as a whole test on the software
+// tester; a panicking refine is retried refine-only (its filter half
+// already counted). Workers check ctx per pair and the whole pipeline
+// winds down through channel closes. A sink error cancels the pipeline's
+// derived context and surfaces as the *PartialError cause.
+func refineStaged(ctx context.Context, op string, results, candidates []Pair, tests pairTests,
+	opt PipelineOptions, batch int, stats *core.Stats) ([]Pair, int, error) {
 
 	refineWorkers := min(opt.workers(), max(1, (len(candidates)+batch-1)/batch))
 	filterWorkers := max(1, (refineWorkers+1)/2)
@@ -295,21 +442,12 @@ func pipelineRun(ctx context.Context, candidates []Pair, opt PipelineOptions, op
 	var filterNS, refineNS atomic.Int64
 	workerStats := make([]core.Stats, filterWorkers+refineWorkers)
 
-	// Stage 0: generation. Batches extend past the nominal size to the end
-	// of the current outer object's run (bounded at 4×) so one outer
-	// polygon's pairs — and its lazily built edge index — stay on one
-	// filter/refine worker pass.
+	// Stage 0: generation.
 	go func() {
 		defer close(filterCh)
 		seq := 0
 		for lo := 0; lo < len(candidates); {
-			hi := min(lo+batch, len(candidates))
-			if !opt.NoLocalityOrder {
-				limit := min(lo+4*batch, len(candidates))
-				for hi < limit && candidates[hi].A == candidates[hi-1].A {
-					hi++
-				}
-			}
+			hi := batchEnd(candidates, lo, batch, !opt.NoLocalityOrder)
 			b := &pipeBatch{seq: seq, pairs: candidates[lo:hi]}
 			select {
 			case filterCh <- b:
@@ -323,12 +461,11 @@ func pipelineRun(ctx context.Context, candidates []Pair, opt PipelineOptions, op
 	}()
 
 	var filterWG sync.WaitGroup
-	for w := range filterWorkers {
+	for wi := range filterWorkers {
 		filterWG.Add(1)
 		go func() {
 			defer filterWG.Done()
-			tester := newTester()
-			var swRetry *core.Tester
+			w := &worker{t: opt.newTester()}
 			start := time.Now()
 			for b := range filterCh {
 				if pctx.Err() != nil {
@@ -340,21 +477,12 @@ func pipelineRun(ctx context.Context, candidates []Pair, opt PipelineOptions, op
 						b.keep = nil // mark unprocessed; emit skips it
 						break
 					}
-					v, panicked := safeFilter(tester, pr, filter)
+					v, panicked := safeCall(w.t, pr, tests.filter)
 					if panicked {
 						// The whole test retries on the software path: the
 						// panicked attempt never counted Tests, so the
-						// retry re-counts from the top (see parallelRefine).
-						tester.Stats.Panics++
-						if swRetry == nil {
-							swRetry = softwareRetryTester(tester)
-						}
-						keep, panicked := safeTest(swRetry, pr, full)
-						if panicked {
-							tester.Stats.Quarantined++
-							keep = false
-						}
-						b.keep[i] = keep
+						// retry re-counts from the top.
+						b.keep[i] = w.retry(pr, tests.full)
 						continue
 					}
 					switch v {
@@ -374,11 +502,7 @@ func pipelineRun(ctx context.Context, candidates []Pair, opt PipelineOptions, op
 				}
 			}
 			filterNS.Add(int64(time.Since(start)))
-			stats := tester.Stats
-			if swRetry != nil {
-				stats.Add(swRetry.Stats)
-			}
-			workerStats[w] = stats
+			workerStats[wi] = w.stats()
 		}()
 	}
 	go func() {
@@ -387,12 +511,11 @@ func pipelineRun(ctx context.Context, candidates []Pair, opt PipelineOptions, op
 	}()
 
 	var refineWG sync.WaitGroup
-	for w := range refineWorkers {
+	for wi := range refineWorkers {
 		refineWG.Add(1)
 		go func() {
 			defer refineWG.Done()
-			tester := newTester()
-			var swRetry *core.Tester
+			w := &worker{t: opt.newTester()}
 			start := time.Now()
 			for b := range refineCh {
 				if pctx.Err() != nil {
@@ -405,20 +528,12 @@ func pipelineRun(ctx context.Context, candidates []Pair, opt PipelineOptions, op
 						break
 					}
 					pr := b.pairs[i]
-					keep, panicked := safeTest(tester, pr, refine)
+					keep, panicked := safeCall(w.t, pr, tests.refine)
 					if panicked {
 						// Refine-only retry: the pair's filter half already
 						// counted on the filter worker's tester, so the
 						// software retry supplies just the resolution.
-						tester.Stats.Panics++
-						if swRetry == nil {
-							swRetry = softwareRetryTester(tester)
-						}
-						keep, panicked = safeTest(swRetry, pr, refine)
-						if panicked {
-							tester.Stats.Quarantined++
-							keep = false
-						}
+						keep = w.retry(pr, tests.refine)
 					}
 					b.keep[i] = keep
 				}
@@ -432,11 +547,7 @@ func pipelineRun(ctx context.Context, candidates []Pair, opt PipelineOptions, op
 				}
 			}
 			refineNS.Add(int64(time.Since(start)))
-			stats := tester.Stats
-			if swRetry != nil {
-				stats.Add(swRetry.Stats)
-			}
-			workerStats[filterWorkers+w] = stats
+			workerStats[filterWorkers+wi] = w.stats()
 		}()
 	}
 	go func() {
@@ -447,8 +558,6 @@ func pipelineRun(ctx context.Context, candidates []Pair, opt PipelineOptions, op
 	// Stage 3: emit, on the calling goroutine. Batches are re-sequenced so
 	// the stream (and the returned slice) follow candidate order; on
 	// wind-down the completed out-of-order tail still drains, ascending.
-	var results []Pair
-	var stats core.Stats
 	processed := 0
 	var sinkErr error
 	pending := map[int]*pipeBatch{}
@@ -503,30 +612,57 @@ func pipelineRun(ctx context.Context, candidates []Pair, opt PipelineOptions, op
 	stats.PipelineQueueDepth = queueDepth.Load()
 
 	if sinkErr != nil {
-		return results, stats, &PartialError{Op: op, Done: processed, Total: len(candidates), Err: sinkErr}
+		return results, processed, &PartialError{Op: op, Done: processed, Total: len(candidates), Err: sinkErr}
 	}
 	if ctx.Err() != nil {
-		return results, stats, &PartialError{Op: op, Done: processed, Total: len(candidates), Err: ctxCause(ctx)}
+		return results, processed, &PartialError{Op: op, Done: processed, Total: len(candidates), Err: ctxCause(ctx)}
 	}
-	return results, stats, nil
+	return results, processed, nil
 }
 
-// safeFilter runs one filter verdict with panic isolation, mirroring
-// safeTest.
-func safeFilter(t *core.Tester, pr Pair, filter func(*core.Tester, Pair) core.Verdict) (v core.Verdict, panicked bool) {
+// safeCall runs one tester call with panic isolation. It never lets a
+// panic escape: the call's result (the zero value after a panic) and
+// whether it panicked are reported to the caller instead.
+func safeCall[T any](t *core.Tester, pr Pair, call func(*core.Tester, Pair) T) (v T, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			v, panicked = core.VerdictMiss, true
+			var zero T
+			v, panicked = zero, true
 		}
 	}()
-	return filter(t, pr), false
+	return call(t, pr), false
 }
 
-// softwareRetryTester degrades a worker's configuration to the pure
-// software path with fault injection disarmed, for post-panic retries.
-func softwareRetryTester(t *core.Tester) *core.Tester {
-	cfg := t.Config()
-	cfg.DisableHardware = true
-	cfg.Faults = nil
-	return core.NewTester(cfg)
+// worker is one schedule worker's tester plus the software-only retry
+// tester it builds on its first panic.
+type worker struct {
+	t, sw *core.Tester
+}
+
+// retry follows a panicked test: it counts the panic and reruns test
+// once on the software path with fault injection disarmed — the hw→sw
+// degradation path. A second panic quarantines the pair: it is counted
+// and dropped from the result.
+func (w *worker) retry(pr Pair, test func(*core.Tester, Pair) bool) bool {
+	w.t.Stats.Panics++
+	if w.sw == nil {
+		cfg := w.t.Config()
+		cfg.DisableHardware = true
+		cfg.Faults = nil
+		w.sw = core.NewTester(cfg)
+	}
+	keep, panicked := safeCall(w.sw, pr, test)
+	if panicked {
+		w.t.Stats.Quarantined++
+	}
+	return keep
+}
+
+// stats returns the worker's counters with the retry tester's folded in.
+func (w *worker) stats() core.Stats {
+	s := w.t.Stats
+	if w.sw != nil {
+		s.Add(w.sw.Stats)
+	}
+	return s
 }

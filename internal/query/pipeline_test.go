@@ -36,10 +36,10 @@ func checkStatsPartition(t *testing.T, name string, s core.Stats) {
 	}
 }
 
-// TestPipelineJoinMatchesSerial is the core differential: the staged
-// pipeline must return the serial driver's result bit-identically (same
-// pairs, same order) across batch sizes and worker counts, and the
-// NoPipeline ablation must match both.
+// TestPipelineJoinMatchesSerial is the core differential: the executor
+// must return the serial entry point's result bit-identically (same pairs,
+// same order) across batch sizes and worker counts — the inline and the
+// staged schedule alike.
 func TestPipelineJoinMatchesSerial(t *testing.T) {
 	want, _, err := IntersectionJoin(bg, layerA, layerB, swTester())
 	if err != nil {
@@ -49,10 +49,7 @@ func TestPipelineJoinMatchesSerial(t *testing.T) {
 	for _, batch := range []int{1, 7, 64, 4096} {
 		for _, workers := range []int{1, 4} {
 			name := fmt.Sprintf("batch=%d workers=%d", batch, workers)
-			opt := PipelineOptions{
-				ParallelOptions: ParallelOptions{Workers: workers},
-				BatchSize:       batch,
-			}
+			opt := PipelineOptions{Workers: workers, BatchSize: batch}
 			got, stats, err := PipelineIntersectionJoin(bg, layerA, layerB, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -62,14 +59,6 @@ func TestPipelineJoinMatchesSerial(t *testing.T) {
 			if stats.PipelineBatches == 0 {
 				t.Errorf("%s: no pipeline batches recorded", name)
 			}
-
-			opt.NoPipeline = true
-			ablated, astats, err := PipelineIntersectionJoin(bg, layerA, layerB, opt)
-			if err != nil {
-				t.Fatalf("%s ablation: %v", name, err)
-			}
-			samePairsExact(t, name+" ablation", ablated, want)
-			checkStatsPartition(t, name+" ablation", astats)
 		}
 	}
 }
@@ -84,64 +73,46 @@ func TestPipelineWithinMatchesSerial(t *testing.T) {
 	}
 	sortPairsByOuter(want)
 	for _, batch := range []int{3, 256} {
-		name := fmt.Sprintf("batch=%d", batch)
-		opt := PipelineOptions{
-			ParallelOptions: ParallelOptions{Workers: 4},
-			BatchSize:       batch,
+		for _, workers := range []int{1, 4} {
+			name := fmt.Sprintf("batch=%d workers=%d", batch, workers)
+			opt := PipelineOptions{Workers: workers, BatchSize: batch}
+			got, stats, err := PipelineWithinDistanceJoin(bg, layerA, layerB, d, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			samePairsExact(t, name, got, want)
+			checkStatsPartition(t, name, stats)
 		}
-		got, stats, err := PipelineWithinDistanceJoin(bg, layerA, layerB, d, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		samePairsExact(t, name, got, want)
-		checkStatsPartition(t, name, stats)
-
-		opt.NoPipeline = true
-		ablated, _, err := PipelineWithinDistanceJoin(bg, layerA, layerB, d, opt)
-		if err != nil {
-			t.Fatalf("%s ablation: %v", name, err)
-		}
-		samePairsExact(t, name+" ablation", ablated, want)
 	}
 }
 
-// TestPipelineConfigKnobs verifies the tester-config fallbacks: a factory
-// whose Config carries BatchSize/NoPipeline drives the run when the
-// options leave them zero.
+// TestPipelineConfigKnobs verifies the batch-size knob on both
+// schedules: the same small batch cuts the same batches inline and
+// staged, with identical results and identical stats partitions.
 func TestPipelineConfigKnobs(t *testing.T) {
 	want, _, err := IntersectionJoin(bg, layerA, layerB, swTester())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sortPairsByOuter(want)
-	opt := PipelineOptions{
-		ParallelOptions: ParallelOptions{
-			Workers: 2,
-			Tester: func() *core.Tester {
-				return core.NewTester(core.Config{DisableHardware: true, BatchSize: 5, NoPipeline: false})
-			},
-		},
+	batches := map[int]int64{}
+	for _, workers := range []int{1, 4} {
+		name := fmt.Sprintf("workers=%d", workers)
+		opt := PipelineOptions{Workers: workers, BatchSize: 5, Tester: swTester}
+		got, stats, err := PipelineIntersectionJoin(bg, layerA, layerB, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePairsExact(t, name, got, want)
+		checkStatsPartition(t, name, stats)
+		// Batch 5 over hundreds of candidates must cut more than one batch.
+		if stats.PipelineBatches < 2 {
+			t.Errorf("%s: PipelineBatches = %d, want ≥ 2 with batch size 5", name, stats.PipelineBatches)
+		}
+		batches[workers] = stats.PipelineBatches
 	}
-	got, stats, err := PipelineIntersectionJoin(bg, layerA, layerB, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samePairsExact(t, "config batch", got, want)
-	// Batch 5 over hundreds of candidates must cut more than one batch.
-	if stats.PipelineBatches < 2 {
-		t.Errorf("PipelineBatches = %d, want ≥ 2 with batch size 5", stats.PipelineBatches)
-	}
-
-	opt.ParallelOptions.Tester = func() *core.Tester {
-		return core.NewTester(core.Config{DisableHardware: true, NoPipeline: true})
-	}
-	got, stats, err = PipelineIntersectionJoin(bg, layerA, layerB, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samePairsExact(t, "config ablation", got, want)
-	if stats.PipelineBatches != 0 {
-		t.Errorf("ablated run recorded %d pipeline batches", stats.PipelineBatches)
+	if batches[1] != batches[4] {
+		t.Errorf("inline cut %d batches, staged %d; both schedules must cut the same batches", batches[1], batches[4])
 	}
 }
 
@@ -149,13 +120,12 @@ func TestPipelineConfigKnobs(t *testing.T) {
 // concatenation of sink batches equals the returned slice exactly, and
 // the emission counters account for every streamed row.
 func TestPipelineSinkStreamsExactResult(t *testing.T) {
-	for _, noPipe := range []bool{false, true} {
+	for _, workers := range []int{1, 4} {
 		var streamed []Pair
 		calls := 0
 		opt := PipelineOptions{
-			ParallelOptions: ParallelOptions{Workers: 4},
-			BatchSize:       16,
-			NoPipeline:      noPipe,
+			Workers:   workers,
+			BatchSize: 16,
 			Sink: func(pairs []Pair) error {
 				calls++
 				streamed = append(streamed, pairs...) // copy: the slice is reused
@@ -166,16 +136,12 @@ func TestPipelineSinkStreamsExactResult(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		name := fmt.Sprintf("noPipeline=%v", noPipe)
+		name := fmt.Sprintf("workers=%d", workers)
 		samePairsExact(t, name+" stream", streamed, got)
 		if stats.StreamRowsEmitted != int64(len(got)) {
 			t.Errorf("%s: StreamRowsEmitted = %d, want %d", name, stats.StreamRowsEmitted, len(got))
 		}
-		if noPipe {
-			if calls != 1 {
-				t.Errorf("%s: sink called %d times, want exactly 1 terminal emit", name, calls)
-			}
-		} else if calls < 2 {
+		if calls < 2 {
 			t.Errorf("%s: sink called %d times; batch 16 should stream incrementally", name, calls)
 		}
 	}
@@ -186,67 +152,69 @@ func TestPipelineSinkStreamsExactResult(t *testing.T) {
 // sink's error, without leaking a single pipeline goroutine.
 func TestPipelineSinkErrorWindsDown(t *testing.T) {
 	boom := errors.New("client went away")
-	before := runtime.NumGoroutine()
-	opt := PipelineOptions{
-		ParallelOptions: ParallelOptions{Workers: 4},
-		BatchSize:       4,
-		Sink: func(pairs []Pair) error {
-			return boom
-		},
-	}
-	got, _, err := PipelineIntersectionJoin(bg, layerA, layerB, opt)
-	var pe *PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PartialError", err)
-	}
-	if !errors.Is(err, boom) {
-		t.Fatalf("partial error does not carry the sink error: %v", err)
-	}
-	if pe.Total == 0 {
-		t.Error("partial error lost the candidate total")
-	}
-	// The failed batch's pairs never streamed, so the returned slice is
-	// whatever drained before wind-down; it must still be a prefix-ordered
-	// subset of the full result.
-	full, _, ferr := PipelineIntersectionJoin(bg, layerA, layerB, PipelineOptions{
-		ParallelOptions: ParallelOptions{Workers: 4},
-	})
-	if ferr != nil {
-		t.Fatal(ferr)
+	full, _, err := PipelineIntersectionJoin(bg, layerA, layerB, PipelineOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
 	fullSet := pairSet(full)
-	for _, pr := range got {
-		if !fullSet[pr] {
-			t.Fatalf("wind-down emitted %v, not in the full result", pr)
+	for _, workers := range []int{1, 4} {
+		before := runtime.NumGoroutine()
+		opt := PipelineOptions{
+			Workers:   workers,
+			BatchSize: 4,
+			Sink: func(pairs []Pair) error {
+				return boom
+			},
 		}
+		got, _, err := PipelineIntersectionJoin(bg, layerA, layerB, opt)
+		var pe *PartialError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want *PartialError", workers, err)
+		}
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: partial error does not carry the sink error: %v", workers, err)
+		}
+		if pe.Total == 0 {
+			t.Errorf("workers=%d: partial error lost the candidate total", workers)
+		}
+		// The failed batch's pairs never streamed, so the returned slice is
+		// whatever drained before wind-down; it must still be a subset of
+		// the full result.
+		for _, pr := range got {
+			if !fullSet[pr] {
+				t.Fatalf("workers=%d: wind-down emitted %v, not in the full result", workers, pr)
+			}
+		}
+		checkNoGoroutineLeak(t, before)
 	}
-	checkNoGoroutineLeak(t, before)
 }
 
 // TestPipelineCancellationPartial cancels mid-stream and requires the
 // typed partial with the cancellation cause, plus full goroutine
 // wind-down.
 func TestPipelineCancellationPartial(t *testing.T) {
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(bg)
-	opt := PipelineOptions{
-		ParallelOptions: ParallelOptions{Workers: 2},
-		BatchSize:       2,
-		Sink: func(pairs []Pair) error {
-			cancel() // first streamed batch pulls the plug
-			return nil
-		},
+	for _, workers := range []int{1, 2} {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(bg)
+		opt := PipelineOptions{
+			Workers:   workers,
+			BatchSize: 2,
+			Sink: func(pairs []Pair) error {
+				cancel() // first streamed batch pulls the plug
+				return nil
+			},
+		}
+		_, _, err := PipelineIntersectionJoin(ctx, layerA, layerB, opt)
+		cancel()
+		var pe *PartialError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want *PartialError", workers, err)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: partial error cause = %v, want context.Canceled", workers, err)
+		}
+		checkNoGoroutineLeak(t, before)
 	}
-	_, _, err := PipelineIntersectionJoin(ctx, layerA, layerB, opt)
-	cancel()
-	var pe *PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PartialError", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("partial error cause = %v, want context.Canceled", err)
-	}
-	checkNoGoroutineLeak(t, before)
 }
 
 // TestPipelineRecoversPanickingTester mirrors the parallel-path panic
@@ -257,11 +225,9 @@ func TestPipelineRecoversPanickingTester(t *testing.T) {
 	want := pairSet(softwareOracle(t))
 	inj := faultinject.New(7).Inject(faultinject.SiteIntersects, faultinject.KindPanic, 1)
 	opt := PipelineOptions{
-		ParallelOptions: ParallelOptions{
-			Workers: 4,
-			Tester: func() *core.Tester {
-				return core.NewTester(core.Config{DisableHardware: true, Faults: inj})
-			},
+		Workers: 4,
+		Tester: func() *core.Tester {
+			return core.NewTester(core.Config{DisableHardware: true, Faults: inj})
 		},
 		BatchSize: 8,
 	}
@@ -321,8 +287,8 @@ func TestPipelineViewComposition(t *testing.T) {
 	}
 	var streamed []Pair
 	opt := PipelineOptions{
-		ParallelOptions: ParallelOptions{Workers: 4},
-		BatchSize:       16,
+		Workers:   4,
+		BatchSize: 16,
 		Sink: func(pairs []Pair) error {
 			streamed = append(streamed, pairs...)
 			return nil

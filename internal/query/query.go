@@ -14,11 +14,12 @@
 // a *PartialError that unwraps to the context's error, and leaks no
 // goroutines. Queries with a candidate budget fail fast with a
 // *BudgetError before any refinement work when MBR filtering overflows
-// the budget. The parallel joins additionally isolate panicking
-// refinement tests: a pair whose test panics is retried once on the exact
-// software path and, failing that, quarantined (counted in core.Stats,
-// excluded from the result set) — one poisoned geometry pair can no
-// longer take down a join. See DESIGN.md §7.
+// the budget. Every join additionally isolates panicking refinement
+// tests: a pair whose test panics is retried once on the exact software
+// path and, failing that, quarantined (counted in core.Stats, excluded
+// from the result set) — one poisoned geometry pair can no longer take
+// down a join. All joins run through one executor (pipeline.go). See
+// DESIGN.md §7 and §14.
 package query
 
 import (
@@ -688,6 +689,14 @@ type JoinOptions struct {
 	IntervalOrder int
 }
 
+// pipeline maps the options onto the join executor's, with the
+// Workers == 1 schedule.
+func (o JoinOptions) pipeline() PipelineOptions {
+	return PipelineOptions{Workers: 1, MaxCandidates: o.MaxCandidates,
+		NoEdgeIndex: o.NoEdgeIndex, NoLocalityOrder: o.NoLocalityOrder, NoBreaker: o.NoBreaker,
+		NoSignatures: o.NoSignatures, NoIntervals: o.NoIntervals, IntervalOrder: o.IntervalOrder}
+}
+
 // sortPairsByOuter orders candidate pairs by (A, B) so refinement visits
 // each outer object's pairs consecutively: the outer polygon's vertices
 // and edge index stay cache-hot across its whole run, and the lazily
@@ -747,66 +756,10 @@ func IntersectionJoin(ctx context.Context, a, b *Layer, tester *core.Tester) ([]
 }
 
 // IntersectionJoinOpt is IntersectionJoin with intermediate-filter options
-// and resource guards.
+// and resource guards. It runs the join executor's Workers == 1 schedule
+// on the caller's tester, whose Stats accumulate the pair tests.
 func IntersectionJoinOpt(ctx context.Context, a, b *Layer, tester *core.Tester, opt JoinOptions) ([]Pair, Cost, error) {
-	var cost Cost
-
-	// Stage 1: MBR join via synchronized R-tree traversal.
-	start := time.Now()
-	col := collector[Pair]{ctx: ctx, op: "join", budget: opt.MaxCandidates}
-	rtree.Join(a.Index, b.Index, func(ea, eb rtree.Entry) bool {
-		return col.add(Pair{ea.ID, eb.ID})
-	})
-	candidates := col.items
-	cost.MBRFilter = time.Since(start)
-	cost.Candidates = len(candidates)
-	if col.err != nil {
-		return nil, cost, col.err
-	}
-
-	// Stage 2: the optional geometric (convex hull) filter rejects
-	// provably disjoint pairs. (The paper evaluates its joins without an
-	// intermediate filter — this is the Table 1 pre-processing technique,
-	// kept for comparison.)
-	remaining := candidates
-	if opt.UseHullFilter {
-		start = time.Now()
-		ha, hb := a.Hulls(), b.Hulls()
-		remaining = remaining[:0]
-		for _, pr := range candidates {
-			if filter.PairMayIntersect(ha, pr.A, hb, pr.B) {
-				remaining = append(remaining, pr)
-			}
-		}
-		cost.IntermediateFilter = time.Since(start)
-		cost.FilterRejects = len(candidates) - len(remaining)
-	}
-
-	// Stage 3: geometry comparison, cancellable every cancelStride pairs.
-	// Pairs are refined in outer-object order so each outer polygon's data
-	// (and its edge index) is touched in one consecutive run.
-	start = time.Now()
-	if !opt.NoLocalityOrder {
-		sortPairsByOuter(remaining)
-	}
-	iva, ivb := intervalColumns(a, b, opt.NoIntervals, opt.IntervalOrder)
-	pcFor := pairContexts(a, b, opt.NoEdgeIndex, opt.NoBreaker, opt.NoSignatures, iva, ivb)
-	var results []Pair
-	for i, pr := range remaining {
-		if i%cancelStride == 0 && ctx.Err() != nil {
-			cost.GeometryComparison = time.Since(start)
-			cost.Compared = i
-			cost.Results = len(results)
-			return results, cost, &PartialError{Op: "join", Done: i, Total: len(remaining), Err: ctxCause(ctx)}
-		}
-		if tester.IntersectsCtx(a.Data.Objects[pr.A], b.Data.Objects[pr.B], pcFor(pr)) {
-			results = append(results, pr)
-		}
-	}
-	cost.GeometryComparison = time.Since(start)
-	cost.Compared = len(remaining)
-	cost.Results = len(results)
-	return results, cost, nil
+	return IntersectionJoinView(ctx, a.View(), b.View(), tester, opt)
 }
 
 // DistanceFilterOptions configure the within-distance join's intermediate
@@ -832,77 +785,19 @@ type DistanceFilterOptions struct {
 	NoSignatures bool
 }
 
+// pipeline maps the options onto the join executor's, with the
+// Workers == 1 schedule.
+func (o DistanceFilterOptions) pipeline() PipelineOptions {
+	return PipelineOptions{Workers: 1, MaxCandidates: o.MaxCandidates,
+		NoEdgeIndex: o.NoEdgeIndex, NoLocalityOrder: o.NoLocalityOrder, NoBreaker: o.NoBreaker,
+		NoSignatures: o.NoSignatures}
+}
+
 // WithinDistanceJoin returns all pairs whose regions are within distance d
 // of each other (the buffer query), processed through the three-stage
-// pipeline with the 0-Object and 1-Object filters. Cancellation and
-// budget semantics match IntersectionJoinOpt.
+// pipeline with the 0-Object and 1-Object filters. Pre-pass hits come
+// first, in candidate order, then the refined pairs in locality order.
+// Cancellation and budget semantics match IntersectionJoinOpt.
 func WithinDistanceJoin(ctx context.Context, a, b *Layer, d float64, tester *core.Tester, opt DistanceFilterOptions) ([]Pair, Cost, error) {
-	var cost Cost
-
-	// Stage 1: MBR distance join. MBR distance lower-bounds object
-	// distance, so no within-distance pair is lost.
-	start := time.Now()
-	col := collector[Pair]{ctx: ctx, op: "within-join", budget: opt.MaxCandidates}
-	rtree.JoinWithin(a.Index, b.Index, d, func(ea, eb rtree.Entry) bool {
-		return col.add(Pair{ea.ID, eb.ID})
-	})
-	candidates := col.items
-	cost.MBRFilter = time.Since(start)
-	cost.Candidates = len(candidates)
-	if col.err != nil {
-		return nil, cost, col.err
-	}
-
-	// Stage 2: distance upper bounds identify positives early.
-	var results []Pair
-	remaining := candidates
-	if opt.Use0Object || opt.Use1Object {
-		start = time.Now()
-		remaining = remaining[:0]
-		for _, pr := range candidates {
-			pa, pb := a.Data.Objects[pr.A], b.Data.Objects[pr.B]
-			if opt.Use0Object && filter.UpperBound0(pa.Bounds(), pb.Bounds()) <= d {
-				results = append(results, pr)
-				continue
-			}
-			if opt.Use1Object {
-				// Use the larger object's geometry against the smaller
-				// object's MBR.
-				big, smallBounds := pa, pb.Bounds()
-				if pb.NumVerts() > pa.NumVerts() {
-					big, smallBounds = pb, pa.Bounds()
-				}
-				if filter.UpperBound1(big, smallBounds) <= d {
-					results = append(results, pr)
-					continue
-				}
-			}
-			remaining = append(remaining, pr)
-		}
-		cost.IntermediateFilter = time.Since(start)
-		cost.FilterHits = len(results)
-	}
-
-	// Stage 3: geometry comparison in outer-object order, cancellable
-	// every cancelStride pairs.
-	start = time.Now()
-	if !opt.NoLocalityOrder {
-		sortPairsByOuter(remaining)
-	}
-	pcFor := pairContexts(a, b, opt.NoEdgeIndex, opt.NoBreaker, opt.NoSignatures, nil, nil)
-	for i, pr := range remaining {
-		if i%cancelStride == 0 && ctx.Err() != nil {
-			cost.GeometryComparison = time.Since(start)
-			cost.Compared = i
-			cost.Results = len(results)
-			return results, cost, &PartialError{Op: "within-join", Done: i, Total: len(remaining), Err: ctxCause(ctx)}
-		}
-		if tester.WithinDistanceCtx(a.Data.Objects[pr.A], b.Data.Objects[pr.B], d, pcFor(pr)) {
-			results = append(results, pr)
-		}
-	}
-	cost.GeometryComparison = time.Since(start)
-	cost.Compared = len(remaining)
-	cost.Results = len(results)
-	return results, cost, nil
+	return WithinDistanceJoinView(ctx, a.View(), b.View(), d, tester, opt)
 }

@@ -83,17 +83,35 @@ func TestIntersectionSelectMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestIntersectionJoinMatchesOracle(t *testing.T) {
-	// Oracle: nested loop with brute-force software test.
+// oracleJoin is the nested-loop brute-force intersection join.
+func oracleJoin(a, b *Layer) []Pair {
 	var want []Pair
-	for i, p := range layerA.Data.Objects {
-		for j, q := range layerB.Data.Objects {
+	for i, p := range a.Data.Objects {
+		for j, q := range b.Data.Objects {
 			if p.Bounds().Intersects(q.Bounds()) &&
 				sweep.PolygonsIntersect(p, q, sweep.Options{Algorithm: sweep.BruteForce}) {
 				want = append(want, Pair{i, j})
 			}
 		}
 	}
+	return want
+}
+
+// oracleWithin is the nested-loop brute-force within-distance join.
+func oracleWithin(a, b *Layer, d float64) []Pair {
+	var want []Pair
+	for i, p := range a.Data.Objects {
+		for j, q := range b.Data.Objects {
+			if dist.MinDistBrute(p, q) <= d {
+				want = append(want, Pair{i, j})
+			}
+		}
+	}
+	return want
+}
+
+func TestIntersectionJoinMatchesOracle(t *testing.T) {
+	want := oracleJoin(layerA, layerB)
 	if len(want) == 0 {
 		t.Fatal("test layers do not overlap; generator broken")
 	}
@@ -126,15 +144,7 @@ func TestWithinDistanceJoinMatchesOracle(t *testing.T) {
 	hw := core.NewTester(core.Config{Resolution: 8})
 	for _, mult := range []float64{0.1, 1.0} {
 		d := baseD * mult
-		// Oracle: nested loop brute-force distance.
-		var want []Pair
-		for i, p := range layerA.Data.Objects {
-			for j, q := range layerB.Data.Objects {
-				if dist.MinDistBrute(p, q) <= d {
-					want = append(want, Pair{i, j})
-				}
-			}
-		}
+		want := oracleWithin(layerA, layerB, d)
 		opts := []DistanceFilterOptions{
 			{},
 			{Use0Object: true},

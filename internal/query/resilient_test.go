@@ -59,47 +59,59 @@ func TestParallelJoinRecoversPanickingTester(t *testing.T) {
 	want := pairSet(softwareOracle(t))
 
 	inj := faultinject.New(7).Inject(faultinject.SiteIntersects, faultinject.KindPanic, 1)
-	opt := ParallelOptions{
-		Workers: 4,
-		Tester: func() *core.Tester {
-			return core.NewTester(core.Config{DisableHardware: true, Faults: inj})
-		},
-	}
-	before := runtime.NumGoroutine()
-	done := make(chan struct{})
-	var (
-		got   []Pair
-		stats core.Stats
-		err   error
-	)
-	go func() {
-		defer close(done)
-		got, stats, err = ParallelIntersectionJoin(bg, layerA, layerB, opt)
-	}()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("parallel join deadlocked with a panicking tester")
-	}
-	if err != nil {
-		t.Fatalf("join failed: %v", err)
-	}
-	checkNoGoroutineLeak(t, before)
-
-	if stats.Panics == 0 {
-		t.Error("no panics recorded despite rate-1 injection")
-	}
-	if stats.Quarantined != 0 {
-		t.Errorf("%d pairs quarantined; software retries should all succeed", stats.Quarantined)
-	}
-	g := pairSet(got)
-	if len(g) != len(want) {
-		t.Fatalf("degraded join: %d pairs, software oracle %d", len(g), len(want))
-	}
-	for pr := range want {
-		if !g[pr] {
-			t.Fatalf("degraded join lost pair %v", pr)
+	for _, workers := range []int{1, 4} {
+		opt := PipelineOptions{
+			Workers: workers,
+			Tester: func() *core.Tester {
+				return core.NewTester(core.Config{DisableHardware: true, Faults: inj})
+			},
 		}
+		before := runtime.NumGoroutine()
+		done := make(chan struct{})
+		var (
+			got   []Pair
+			stats core.Stats
+			err   error
+		)
+		go func() {
+			defer close(done)
+			got, stats, err = PipelineIntersectionJoin(bg, layerA, layerB, opt)
+		}()
+		select {
+		case <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("workers=%d: join deadlocked with a panicking tester", workers)
+		}
+		if err != nil {
+			t.Fatalf("workers=%d: join failed: %v", workers, err)
+		}
+		checkNoGoroutineLeak(t, before)
+
+		if stats.Panics == 0 {
+			t.Errorf("workers=%d: no panics recorded despite rate-1 injection", workers)
+		}
+		if stats.Quarantined != 0 {
+			t.Errorf("workers=%d: %d pairs quarantined; software retries should all succeed", workers, stats.Quarantined)
+		}
+		g := pairSet(got)
+		if len(g) != len(want) {
+			t.Fatalf("workers=%d: degraded join: %d pairs, software oracle %d", workers, len(g), len(want))
+		}
+		for pr := range want {
+			if !g[pr] {
+				t.Fatalf("workers=%d: degraded join lost pair %v", workers, pr)
+			}
+		}
+	}
+}
+
+// testsOf runs test as the whole per-pair test and as the refine half;
+// the filter half leaves every pair to refinement.
+func testsOf(test func(*core.Tester, Pair) bool) pairTests {
+	return pairTests{
+		filter: func(*core.Tester, Pair) core.Verdict { return core.VerdictUndecided },
+		refine: test,
+		full:   test,
 	}
 }
 
@@ -112,13 +124,7 @@ func TestParallelRefineRetriesOnSoftware(t *testing.T) {
 		candidates[i] = Pair{i, i}
 	}
 	inj := faultinject.New(1) // armed with nothing; only its presence is checked
-	opt := ParallelOptions{
-		Workers: 3,
-		Tester: func() *core.Tester {
-			return core.NewTester(core.Config{Resolution: 4, SWThreshold: 123, Faults: inj})
-		},
-	}
-	got, stats, err := parallelRefine(bg, candidates, opt, "test", func(tt *core.Tester, pr Pair) bool {
+	tests := testsOf(func(tt *core.Tester, pr Pair) bool {
 		cfg := tt.Config()
 		if !cfg.DisableHardware {
 			panic("primary path poisoned")
@@ -131,17 +137,26 @@ func TestParallelRefineRetriesOnSoftware(t *testing.T) {
 		}
 		return true
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(candidates) {
-		t.Fatalf("retry kept %d of %d pairs", len(got), len(candidates))
-	}
-	if stats.Panics != int64(len(candidates)) {
-		t.Errorf("Panics = %d, want %d", stats.Panics, len(candidates))
-	}
-	if stats.Quarantined != 0 {
-		t.Errorf("Quarantined = %d, want 0", stats.Quarantined)
+	for _, workers := range []int{1, 3} {
+		opt := PipelineOptions{
+			Workers: workers,
+			Tester: func() *core.Tester {
+				return core.NewTester(core.Config{Resolution: 4, SWThreshold: 123, Faults: inj})
+			},
+		}
+		got, _, stats, err := refineJoin(bg, "test", nil, candidates, tests, opt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(candidates) {
+			t.Fatalf("workers=%d: retry kept %d of %d pairs", workers, len(got), len(candidates))
+		}
+		if stats.Panics != int64(len(candidates)) {
+			t.Errorf("workers=%d: Panics = %d, want %d", workers, stats.Panics, len(candidates))
+		}
+		if stats.Quarantined != 0 {
+			t.Errorf("workers=%d: Quarantined = %d, want 0", workers, stats.Quarantined)
+		}
 	}
 }
 
@@ -154,33 +169,36 @@ func TestParallelRefineQuarantinesPoisonPair(t *testing.T) {
 		candidates[i] = Pair{i, i}
 	}
 	poison := Pair{13, 13}
-	opt := ParallelOptions{Workers: 4, Tester: func() *core.Tester {
-		return core.NewTester(core.Config{DisableHardware: true})
-	}}
-	got, stats, err := parallelRefine(bg, candidates, opt, "test", func(_ *core.Tester, pr Pair) bool {
+	tests := testsOf(func(_ *core.Tester, pr Pair) bool {
 		if pr == poison {
 			panic("poisoned geometry")
 		}
 		return pr.A%2 == 0
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Panics != 1 || stats.Quarantined != 1 {
-		t.Errorf("Panics/Quarantined = %d/%d, want 1/1", stats.Panics, stats.Quarantined)
-	}
 	want := 0
 	for _, pr := range candidates {
 		if pr.A%2 == 0 && pr != poison {
 			want++
 		}
 	}
-	g := pairSet(got)
-	if len(g) != want {
-		t.Errorf("%d pairs kept, want %d", len(g), want)
-	}
-	if g[poison] {
-		t.Error("quarantined pair leaked into the result set")
+	for _, workers := range []int{1, 4} {
+		opt := PipelineOptions{Workers: workers, Tester: func() *core.Tester {
+			return core.NewTester(core.Config{DisableHardware: true})
+		}}
+		got, _, stats, err := refineJoin(bg, "test", nil, candidates, tests, opt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Panics != 1 || stats.Quarantined != 1 {
+			t.Errorf("workers=%d: Panics/Quarantined = %d/%d, want 1/1", workers, stats.Panics, stats.Quarantined)
+		}
+		g := pairSet(got)
+		if len(g) != want {
+			t.Errorf("workers=%d: %d pairs kept, want %d", workers, len(g), want)
+		}
+		if g[poison] {
+			t.Errorf("workers=%d: quarantined pair leaked into the result set", workers)
+		}
 	}
 }
 
@@ -189,50 +207,53 @@ func TestParallelRefineQuarantinesPoisonPair(t *testing.T) {
 // return promptly (long before the remaining work), leak no goroutines,
 // and report partial progress through a typed *PartialError.
 func TestParallelJoinCancellation(t *testing.T) {
-	inj := faultinject.New(3).
-		Inject(faultinject.SiteIntersects, faultinject.KindDelay, 1).
-		SetDelay(2 * time.Millisecond)
-	opt := ParallelOptions{
-		Workers: 2,
-		Tester: func() *core.Tester {
-			return core.NewTester(core.Config{DisableHardware: true, Faults: inj})
-		},
-	}
-	ctx, cancel := context.WithCancel(bg)
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	before := runtime.NumGoroutine()
-	start := time.Now()
-	got, stats, err := ParallelIntersectionJoin(ctx, layerA, layerB, opt)
-	elapsed := time.Since(start)
-	checkNoGoroutineLeak(t, before)
-
-	var pe *PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PartialError", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err does not unwrap to context.Canceled: %v", err)
-	}
-	if pe.Done >= pe.Total {
-		t.Errorf("PartialError reports full completion: %d/%d", pe.Done, pe.Total)
-	}
-	// The whole join would take Total×2ms/2 workers; prompt cancellation
-	// must beat that by a wide margin. The bound is loose for CI noise.
-	if budget := time.Duration(pe.Total) * time.Millisecond; elapsed > budget {
-		t.Errorf("cancellation took %v, full join would be ~%v", elapsed, budget)
-	}
-	if stats.Tests == 0 {
-		t.Error("no partial stats returned")
-	}
-	// Partial results must still be sound: every returned pair is a real
-	// software-verified intersection.
 	want := pairSet(softwareOracle(t))
-	for _, pr := range got {
-		if !want[pr] {
-			t.Errorf("partial result %v is not in the software result set", pr)
+	for _, workers := range []int{1, 2} {
+		inj := faultinject.New(3).
+			Inject(faultinject.SiteIntersects, faultinject.KindDelay, 1).
+			SetDelay(2 * time.Millisecond)
+		opt := PipelineOptions{
+			Workers: workers,
+			Tester: func() *core.Tester {
+				return core.NewTester(core.Config{DisableHardware: true, Faults: inj})
+			},
+		}
+		ctx, cancel := context.WithCancel(bg)
+		go func() {
+			time.Sleep(10 * time.Millisecond)
+			cancel()
+		}()
+		before := runtime.NumGoroutine()
+		start := time.Now()
+		got, stats, err := PipelineIntersectionJoin(ctx, layerA, layerB, opt)
+		elapsed := time.Since(start)
+		checkNoGoroutineLeak(t, before)
+
+		var pe *PartialError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want *PartialError", workers, err)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: err does not unwrap to context.Canceled: %v", workers, err)
+		}
+		if pe.Done >= pe.Total {
+			t.Errorf("workers=%d: PartialError reports full completion: %d/%d", workers, pe.Done, pe.Total)
+		}
+		// The whole join would take Total×2ms/workers; prompt cancellation
+		// (within one cancelStride of tests inline) must beat that by a
+		// wide margin. The bound is loose for CI noise.
+		if budget := time.Duration(pe.Total) * time.Millisecond; elapsed > budget {
+			t.Errorf("workers=%d: cancellation took %v, full join would be ~%v", workers, elapsed, budget)
+		}
+		if stats.Tests == 0 {
+			t.Errorf("workers=%d: no partial stats returned", workers)
+		}
+		// Partial results must still be sound: every returned pair is a
+		// real software-verified intersection.
+		for _, pr := range got {
+			if !want[pr] {
+				t.Errorf("workers=%d: partial result %v is not in the software result set", workers, pr)
+			}
 		}
 	}
 }
@@ -305,9 +326,9 @@ func TestCandidateBudget(t *testing.T) {
 		t.Errorf("budget-tripped join ran %d pair tests", sw.Stats.Tests)
 	}
 
-	_, _, err = ParallelIntersectionJoin(bg, layerA, layerB, ParallelOptions{MaxCandidates: 1})
+	_, _, err = PipelineIntersectionJoin(bg, layerA, layerB, PipelineOptions{Workers: 4, MaxCandidates: 1})
 	if !errors.As(err, &be) {
-		t.Errorf("parallel join: err = %v, want *BudgetError", err)
+		t.Errorf("pipeline join: err = %v, want *BudgetError", err)
 	}
 
 	q := layerB.Data.Objects[0]
@@ -336,14 +357,14 @@ func TestCandidateBudget(t *testing.T) {
 // typed partial error, partial stats, and no goroutine leak.
 func TestAcceptanceFaultedJoinUnderDeadline(t *testing.T) {
 	want := pairSet(softwareOracle(t))
-	newOpt := func(seed int64, delay time.Duration) ParallelOptions {
+	newOpt := func(workers int, seed int64, delay time.Duration) PipelineOptions {
 		inj := faultinject.New(seed).
 			Inject(faultinject.SiteIntersects, faultinject.KindPanic, 0.3).
 			Inject(faultinject.SiteIntersects, faultinject.KindDelay, 0.2).
 			Inject(faultinject.SiteRenderDraw, faultinject.KindPanic, 0.02).
 			SetDelay(delay)
-		return ParallelOptions{
-			Workers: 4,
+		return PipelineOptions{
+			Workers: workers,
 			Tester: func() *core.Tester {
 				// Hardware path armed, threshold 0: every non-trivial pair
 				// exercises the raster hook too.
@@ -352,49 +373,50 @@ func TestAcceptanceFaultedJoinUnderDeadline(t *testing.T) {
 		}
 	}
 
-	// Part 1: panics and delays, no deadline — exact software results.
-	got, stats, err := ParallelIntersectionJoin(bg, layerA, layerB, newOpt(11, 10*time.Microsecond))
-	if err != nil {
-		t.Fatalf("faulted join failed: %v", err)
-	}
-	if stats.Panics == 0 {
-		t.Error("fault schedule fired no panics; raise the rate or fix the seed")
-	}
-	if stats.Quarantined != 0 {
-		t.Errorf("%d pairs quarantined; injected faults must not survive the software retry", stats.Quarantined)
-	}
-	g := pairSet(got)
-	if len(g) != len(want) {
-		t.Fatalf("faulted join: %d pairs, software oracle %d", len(g), len(want))
-	}
-	for pr := range want {
-		if !g[pr] {
-			t.Fatalf("faulted join lost pair %v", pr)
+	for _, workers := range []int{1, 4} {
+		// Part 1: panics and delays, no deadline — exact software results.
+		got, stats, err := PipelineIntersectionJoin(bg, layerA, layerB, newOpt(workers, 11, 10*time.Microsecond))
+		if err != nil {
+			t.Fatalf("workers=%d: faulted join failed: %v", workers, err)
 		}
-	}
+		if stats.Panics == 0 {
+			t.Errorf("workers=%d: fault schedule fired no panics; raise the rate or fix the seed", workers)
+		}
+		if stats.Quarantined != 0 {
+			t.Errorf("workers=%d: %d pairs quarantined; injected faults must not survive the software retry", workers, stats.Quarantined)
+		}
+		g := pairSet(got)
+		if len(g) != len(want) {
+			t.Fatalf("workers=%d: faulted join: %d pairs, software oracle %d", workers, len(g), len(want))
+		}
+		for pr := range want {
+			if !g[pr] {
+				t.Fatalf("workers=%d: faulted join lost pair %v", workers, pr)
+			}
+		}
 
-	// Part 2: same fault schedule under a deadline that expires mid-join.
-	ctx, cancel := context.WithTimeout(bg, 5*time.Millisecond)
-	defer cancel()
-	before := runtime.NumGoroutine()
-	got, stats, err = ParallelIntersectionJoin(ctx, layerA, layerB, newOpt(11, 2*time.Millisecond))
-	checkNoGoroutineLeak(t, before)
-	var pe *PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("deadlined join: err = %v, want *PartialError", err)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("deadlined join: err does not unwrap to DeadlineExceeded: %v", err)
-	}
-	if pe.Done >= pe.Total {
-		t.Errorf("deadlined join claims completion: %d/%d", pe.Done, pe.Total)
-	}
-	for _, pr := range got {
-		if !want[pr] {
-			t.Errorf("partial result %v not in the software result set", pr)
+		// Part 2: same fault schedule under a deadline that expires mid-join.
+		ctx, cancel := context.WithTimeout(bg, 5*time.Millisecond)
+		before := runtime.NumGoroutine()
+		got, _, err = PipelineIntersectionJoin(ctx, layerA, layerB, newOpt(workers, 11, 2*time.Millisecond))
+		cancel()
+		checkNoGoroutineLeak(t, before)
+		var pe *PartialError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: deadlined join: err = %v, want *PartialError", workers, err)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("workers=%d: deadlined join: err does not unwrap to DeadlineExceeded: %v", workers, err)
+		}
+		if pe.Done >= pe.Total {
+			t.Errorf("workers=%d: deadlined join claims completion: %d/%d", workers, pe.Done, pe.Total)
+		}
+		for _, pr := range got {
+			if !want[pr] {
+				t.Errorf("workers=%d: partial result %v not in the software result set", workers, pr)
+			}
 		}
 	}
-	_ = stats // partial stats: only required to be present, values depend on timing
 }
 
 // TestWrongAnswerTrustBoundary documents the hardware-filter trust

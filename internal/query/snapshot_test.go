@@ -135,18 +135,21 @@ func TestSnapshotLayerQueriesBitIdentical(t *testing.T) {
 				}
 			}
 
-			// Parallel join over snapshot layers agrees with serial memory.
-			gotP, _, err := ParallelIntersectionJoin(bg, snapA, snapB, ParallelOptions{Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gp := sortedPairs(gotP)
-			if len(gp) != len(wj) {
-				t.Fatalf("parallel join %d pairs, want %d", len(gp), len(wj))
-			}
-			for i := range wj {
-				if gp[i] != wj[i] {
-					t.Fatalf("parallel join pair[%d]=%v, want %v", i, gp[i], wj[i])
+			// Both executor schedules over snapshot layers agree with
+			// serial memory.
+			for _, workers := range []int{1, 4} {
+				gotP, _, err := PipelineIntersectionJoin(bg, snapA, snapB, PipelineOptions{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				gp := sortedPairs(gotP)
+				if len(gp) != len(wj) {
+					t.Fatalf("workers=%d: join %d pairs, want %d", workers, len(gp), len(wj))
+				}
+				for i := range wj {
+					if gp[i] != wj[i] {
+						t.Fatalf("workers=%d: join pair[%d]=%v, want %v", workers, i, gp[i], wj[i])
+					}
 				}
 			}
 

@@ -191,50 +191,65 @@ func IntersectionSelectView(ctx context.Context, v *View, query *geom.Polygon, t
 	return out, cost, nil
 }
 
-// IntersectionJoinView composes IntersectionJoinOpt across the views'
-// components (up to base×base, base×delta, delta×base, delta×delta),
-// remaps pairs to canonical positions, drops tombstoned participants,
-// and returns the union sorted by (A, B). Single×single views take the
-// exact legacy path, byte for byte.
+// IntersectionJoinView is IntersectionJoinOpt over views; see joinViews
+// for how composed views merge. Every component join runs on the
+// caller's tester.
 func IntersectionJoinView(ctx context.Context, a, b *View, tester *core.Tester, opt JoinOptions) ([]Pair, Cost, error) {
-	la, aok := a.Single()
-	lb, bok := b.Single()
-	if aok && bok {
-		return IntersectionJoinOpt(ctx, la, lb, tester, opt)
-	}
-	join := func(x, y *Layer) ([]Pair, Cost, error) {
-		return IntersectionJoinOpt(ctx, x, y, tester, opt)
-	}
-	return composeJoin(a, b, join)
+	pairs, cost, _, err := joinViews(a, b, opt.pipeline(), func(x, y *Layer, o PipelineOptions) ([]Pair, Cost, core.Stats, error) {
+		return runJoin(ctx, intersectsPlan(x, y, "join", opt.UseHullFilter, o), o, tester)
+	})
+	return pairs, cost, err
 }
 
 // WithinDistanceJoinView is IntersectionJoinView for the buffer query.
 func WithinDistanceJoinView(ctx context.Context, a, b *View, d float64, tester *core.Tester, opt DistanceFilterOptions) ([]Pair, Cost, error) {
-	la, aok := a.Single()
-	lb, bok := b.Single()
-	if aok && bok {
-		return WithinDistanceJoin(ctx, la, lb, d, tester, opt)
-	}
-	join := func(x, y *Layer) ([]Pair, Cost, error) {
-		return WithinDistanceJoin(ctx, x, y, d, tester, opt)
-	}
-	return composeJoin(a, b, join)
+	pairs, cost, _, err := joinViews(a, b, opt.pipeline(), func(x, y *Layer, o PipelineOptions) ([]Pair, Cost, core.Stats, error) {
+		return runJoin(ctx, withinPlan(x, y, d, "within-join", opt.Use0Object, opt.Use1Object, o), o, tester)
+	})
+	return pairs, cost, err
 }
 
-// ParallelIntersectionJoinView is IntersectionJoinView over the
-// worker-pool join: component joins run one after another, each
-// internally parallel, with the testers' stats summed across components.
-func ParallelIntersectionJoinView(ctx context.Context, a, b *View, opt ParallelOptions) ([]Pair, core.Stats, error) {
+// joinViews is the one join composer. Single×single views run join
+// directly, byte for byte. Composed views run it across every component
+// combination (up to base×base, base×delta, delta×base, delta×delta),
+// streaming each component's batches through a canonical-remapping sink
+// so rows still arrive incrementally, drop tombstoned participants, and
+// return the union sorted by (A, B). Tombstoned objects still pass
+// through the component joins (they live in the base layer's R-tree), so
+// the summed Cost and Stats include their filtering work, which is the
+// honest price of querying an uncompacted view. A *BudgetError aborts
+// with no results.
+func joinViews(a, b *View, opt PipelineOptions, join func(x, y *Layer, o PipelineOptions) ([]Pair, Cost, core.Stats, error)) ([]Pair, Cost, core.Stats, error) {
 	la, aok := a.Single()
 	lb, bok := b.Single()
 	if aok && bok {
-		return ParallelIntersectionJoin(ctx, la, lb, opt)
+		return join(la, lb, opt)
 	}
 	var out []Pair
+	var cost Cost
 	var stats core.Stats
 	for _, ca := range a.components() {
 		for _, cb := range b.components() {
-			pairs, st, err := ParallelIntersectionJoin(ctx, ca.layer, cb.layer, opt)
+			o := opt
+			if opt.Sink != nil {
+				canonA, canonB := ca.canon, cb.canon
+				var remapped []Pair
+				o.Sink = func(pairs []Pair) error {
+					remapped = remapped[:0]
+					for _, pr := range pairs {
+						pa, pb := canonA(pr.A), canonB(pr.B)
+						if pa >= 0 && pb >= 0 {
+							remapped = append(remapped, Pair{int(pa), int(pb)})
+						}
+					}
+					if len(remapped) == 0 {
+						return nil
+					}
+					return opt.Sink(remapped)
+				}
+			}
+			pairs, c, st, err := join(ca.layer, cb.layer, o)
+			cost.Add(c)
 			stats.Add(st)
 			for _, pr := range pairs {
 				pa, pb := ca.canon(pr.A), cb.canon(pr.B)
@@ -244,47 +259,15 @@ func ParallelIntersectionJoinView(ctx context.Context, a, b *View, opt ParallelO
 			}
 			if err != nil {
 				if _, ok := err.(*BudgetError); ok {
-					return nil, stats, err
-				}
-				sortPairsByOuter(out)
-				return out, stats, err
-			}
-		}
-	}
-	sortPairsByOuter(out)
-	return out, stats, nil
-}
-
-// composeJoin runs one pairwise join function across every component
-// combination of the two views and merges into canonical coordinates.
-// Tombstoned objects still pass through the component joins (they live in
-// the base layer's R-tree) and are dropped at the remap; the summed Cost
-// therefore includes their filtering work, which is the honest price of
-// querying an uncompacted view.
-func composeJoin(a, b *View, join func(x, y *Layer) ([]Pair, Cost, error)) ([]Pair, Cost, error) {
-	var out []Pair
-	var cost Cost
-	for _, ca := range a.components() {
-		for _, cb := range b.components() {
-			pairs, cc, err := join(ca.layer, cb.layer)
-			cost.Add(cc)
-			for _, pr := range pairs {
-				pa, pb := ca.canon(pr.A), cb.canon(pr.B)
-				if pa >= 0 && pb >= 0 {
-					out = append(out, Pair{int(pa), int(pb)})
-				}
-			}
-			if err != nil {
-				if _, ok := err.(*BudgetError); ok {
-					return nil, cost, err
+					return nil, cost, stats, err
 				}
 				sortPairsByOuter(out)
 				cost.Results = len(out)
-				return out, cost, err
+				return out, cost, stats, err
 			}
 		}
 	}
 	sortPairsByOuter(out)
 	cost.Results = len(out)
-	return out, cost, nil
+	return out, cost, stats, nil
 }

@@ -107,9 +107,10 @@ func TestFaultAcceptPanicContained(t *testing.T) {
 }
 
 // TestFaultQueryPanicContained arms a panic inside the refinement tester:
-// a serial join served to one session blows up mid-query. The session
-// dies (panic containment is per-connection), but the server, the other
+// a selection served to one session blows up mid-query. The session dies
+// (panic containment is per-connection), but the server, the other
 // sessions' view of the catalog, and non-refinement commands all survive.
+// Joins isolate panicking pair tests themselves, so they answer exactly.
 func TestFaultQueryPanicContained(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	inj := faultinject.New(1).Inject(faultinject.SiteIntersects, faultinject.KindPanic, 1)
@@ -121,13 +122,13 @@ func TestFaultQueryPanicContained(t *testing.T) {
 	wantJoin := directJoinCount(t, water, prism)
 
 	c := dialWire(t, s.Addr().String())
-	if err := c.send("join water prism hw"); err != nil {
+	if err := c.send(fmt.Sprintf("select water %s", e2eQueryWKT)); err != nil {
 		t.Fatal(err)
 	}
 	// The panic escapes Exec and is contained by the session's recover:
 	// the connection closes with no status line.
 	if lines, status, err := c.readResponse(); err == nil {
-		t.Errorf("panicked join returned status %q lines %q, want closed connection", status, lines)
+		t.Errorf("panicked select returned status %q lines %q, want closed connection", status, lines)
 	}
 	waitFor(t, "panicked session to unwind", func() bool {
 		return s.Metrics().SessionsActive.Load() == 0
@@ -145,11 +146,19 @@ func TestFaultQueryPanicContained(t *testing.T) {
 		t.Errorf("layers after panic = %q", lines)
 	}
 	c2.mustOK(t, fmt.Sprintf("knn water %s 3", e2eQueryWKT))
-	// pjoin survives the same injected faults end to end: its workers
-	// quarantine panicking tests and retry on the software path.
+	// join and pjoin survive the same injected faults end to end: the
+	// join executor quarantines panicking tests and retries them on the
+	// software path.
+	jlines := c2.mustOK(t, "join water prism hw")
+	if got := countFrom(t, jlines, "join: %d results"); got != wantJoin {
+		t.Errorf("join under panic faults = %d results, want %d", got, wantJoin)
+	}
 	plines := c2.mustOK(t, "pjoin water prism 2")
 	if got := countFrom(t, plines, "pjoin: %d results"); got != wantJoin {
 		t.Errorf("pjoin under panic faults = %d results, want %d", got, wantJoin)
+	}
+	if got := inj.Fired(faultinject.SiteIntersects, faultinject.KindPanic); got == 0 {
+		t.Error("no refinement panics fired")
 	}
 	checkCatalogIntact(t, s, water, prism, wantJoin)
 

@@ -159,8 +159,7 @@ func (e *Engine) shardSelect(ctx context.Context, store Store, line string, out 
 		return werr
 	}
 	ids, cost, qerr := query.IntersectionSelectView(qctx, v, q, tester,
-		query.SelectionOptions{InteriorLevel: 4, MaxCandidates: e.Settings.Budget,
-			BatchSize: e.Settings.BatchSize, Sink: sink})
+		query.SelectionOptions{InteriorLevel: 4, MaxCandidates: e.Settings.Budget, Sink: sink})
 	var be *query.BudgetError
 	if errors.As(qerr, &be) {
 		return Result{}, qerr

@@ -86,14 +86,6 @@ type Settings struct {
 	MaxTimeout time.Duration
 	// Budget caps MBR-filter candidates per query; zero means unlimited.
 	Budget int
-	// BatchSize overrides the staged join pipeline's candidate batch size
-	// and the selection sink's flush granularity; zero means
-	// core.DefaultBatchSize.
-	BatchSize int
-	// NoPipeline ablates the staged join pipeline back to the per-pair
-	// worker path (one terminal emit). Differential knob for the pipeline
-	// verb.
-	NoPipeline bool
 	// NoIntervals ablates the v2 interval-approximation filter back to
 	// the v1 raster-signature path. Differential knob for the intervals
 	// verb.
@@ -195,8 +187,6 @@ func (e *Engine) Exec(ctx context.Context, line string, out io.Writer) (Result, 
 		// both local and coordinator mode, so it dispatches before the
 		// coordinator switch.
 		return e.batchCmd(ctx, line, out)
-	case "pipeline":
-		return e.setPipeline(args, out)
 	case "intervals":
 		return e.setIntervals(args, out)
 	}
@@ -267,14 +257,13 @@ const Help = `commands:
   layers                            list loaded layers
   stats <name>                      Table 2 statistics of a layer
   join <a> <b> [sw|hw]              intersection join (default hw)
-  pjoin <a> <b> [workers]           parallel intersection join (panic-isolating)
+  pjoin <a> <b> [workers]           intersection join on N refinement workers (default: all CPUs)
   overlay <a> <b>                   map overlay: per-pair intersection areas
   within <a> <b> <D> [sw|hw]        within-distance join
   select <layer> <WKT POLYGON>      intersection selection with a query polygon
   knn <layer> <WKT POLYGON> <k>     k nearest objects to a query polygon
   timeout <duration|off>            bound each query (e.g. timeout 2s)
   budget <n|off>                    cap MBR candidates per query
-  pipeline <on|off> [batch]         staged batch pipeline for pjoin/shard verbs (off = per-pair path)
   intervals <on|off>                v2 interval-approximation filter (off = v1 signature path)
   batch <cmd>; <cmd>; ...           run N commands in one round trip under one admission slot
   partition <layer> <n> <dir> [m [r]]  split a layer into n spatial tiles under dir (replication margin m, r replicas per tile)
@@ -516,40 +505,6 @@ func (e *Engine) setBudget(args []string, out io.Writer) (Result, error) {
 	return Result{Stats: query.Stats{Op: "budget"}, Mutation: true}, nil
 }
 
-// setPipeline toggles the staged batch pipeline and its batch size:
-// pipeline <on|off> [batch]. "off" reconstructs the per-pair execution
-// path (the ablation baseline); the batch size also governs the
-// selection sink's streaming flush granularity.
-func (e *Engine) setPipeline(args []string, out io.Writer) (Result, error) {
-	if len(args) < 1 || len(args) > 2 {
-		return Result{}, fmt.Errorf("usage: pipeline <on|off> [batch]")
-	}
-	switch args[0] {
-	case "on":
-		e.Settings.NoPipeline = false
-	case "off":
-		e.Settings.NoPipeline = true
-	default:
-		return Result{}, fmt.Errorf("pipeline must be on or off, got %q", args[0])
-	}
-	if len(args) == 2 {
-		n, err := strconv.Atoi(args[1])
-		if err != nil || n < 1 {
-			return Result{}, fmt.Errorf("bad batch size %q", args[1])
-		}
-		e.Settings.BatchSize = n
-	}
-	state, batch := "on", e.Settings.BatchSize
-	if e.Settings.NoPipeline {
-		state = "off"
-	}
-	if batch == 0 {
-		batch = core.DefaultBatchSize
-	}
-	fmt.Fprintf(out, "pipeline %s (batch %d)\n", state, batch)
-	return Result{Stats: query.Stats{Op: "pipeline"}, Mutation: true}, nil
-}
-
 // setIntervals toggles the v2 interval-approximation filter:
 // intervals <on|off>. "off" falls back to the v1 raster-signature path
 // everywhere (the ablation baseline); result sets are identical either
@@ -646,12 +601,8 @@ func (e *Engine) pipelineOpts(mode string, workers int) (query.PipelineOptions, 
 	if err != nil {
 		return query.PipelineOptions{}, err
 	}
-	return query.PipelineOptions{
-		ParallelOptions: query.ParallelOptions{Workers: workers, Tester: tf,
-			MaxCandidates: e.Settings.Budget, NoIntervals: e.Settings.NoIntervals},
-		BatchSize:  e.Settings.BatchSize,
-		NoPipeline: e.Settings.NoPipeline,
-	}, nil
+	return query.PipelineOptions{Workers: workers, Tester: tf,
+		MaxCandidates: e.Settings.Budget, NoIntervals: e.Settings.NoIntervals}, nil
 }
 
 // qctx derives the per-query context from the session's timeout setting
@@ -750,17 +701,14 @@ func (e *Engine) pjoin(ctx context.Context, store Store, args []string, out io.W
 			return Result{}, fmt.Errorf("bad worker count %q", args[2])
 		}
 	}
+	opt, err := e.pipelineOpts("", workers)
+	if err != nil {
+		return Result{}, err
+	}
 	qctx, cancel := e.qctx(ctx)
 	defer cancel()
 	start := time.Now()
-	// pjoin runs the staged batch pipeline (pipeline off reconstructs the
-	// per-pair worker path); testers stay the parallel defaults.
-	pairs, stats, qerr := query.PipelineIntersectionJoinView(qctx, a, b, query.PipelineOptions{
-		ParallelOptions: query.ParallelOptions{Workers: workers, MaxCandidates: e.Settings.Budget,
-			NoIntervals: e.Settings.NoIntervals},
-		BatchSize:  e.Settings.BatchSize,
-		NoPipeline: e.Settings.NoPipeline,
-	})
+	pairs, stats, qerr := query.PipelineIntersectionJoinView(qctx, a, b, opt)
 	var be *query.BudgetError
 	if errors.As(qerr, &be) {
 		return Result{}, qerr

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -193,6 +194,28 @@ func TestParityWithDirectCalls(t *testing.T) {
 	_, res := exec(t, e, "join water prism")
 	if res.Stats.Results != len(pairs) {
 		t.Errorf("engine join = %d results, direct join = %d", res.Stats.Results, len(pairs))
+	}
+}
+
+// TestPjoinUsesEngineTester: pjoin builds its worker testers through
+// the engine's tester factory, like join, within and the shard verbs, so
+// a server's sentinel and fault-injection settings reach it too.
+func TestPjoinUsesEngineTester(t *testing.T) {
+	var calls atomic.Int32
+	e := &Engine{Store: MapStore{}, NewTester: func(mode string) (*core.Tester, error) {
+		calls.Add(1) // stage workers build testers concurrently
+		return core.NewTester(core.Config{DisableHardware: true}), nil
+	}}
+	exec(t, e, "gen water WATER 0.01")
+	exec(t, e, "gen prism PRISM 0.01")
+	_, want := exec(t, e, "join water prism")
+	calls.Store(0)
+	_, res := exec(t, e, "pjoin water prism 2")
+	if calls.Load() == 0 {
+		t.Fatal("pjoin never built a tester through Engine.NewTester")
+	}
+	if res.Stats.Results != want.Stats.Results {
+		t.Errorf("pjoin = %d results, join = %d", res.Stats.Results, want.Stats.Results)
 	}
 }
 
