@@ -66,9 +66,6 @@ type Config struct {
 	// carries no deadline (default 30s) — a dead shard must become a
 	// typed partial, never a hang.
 	ReadTimeout time.Duration
-	// MergeReserve is the fraction of the query's deadline withheld from
-	// shards and kept for the merge phase, in [0, 0.5] (default 0.1).
-	MergeReserve float64
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// replica's breaker (default 3); BreakerCooldown is how long it stays
 	// open before a passive half-open trial (default 5s). With a prober
@@ -104,6 +101,10 @@ type Config struct {
 	Faults *faultinject.Injector
 }
 
+// mergeReserveDiv sets the share of a query's deadline (1/10) withheld
+// from shards and kept for the merge phase.
+const mergeReserveDiv = 10
+
 func (c Config) recoveryWait() time.Duration {
 	if c.RecoveryWait > 0 {
 		return c.RecoveryWait
@@ -126,13 +127,6 @@ func (c Config) readTimeout() time.Duration {
 		return c.ReadTimeout
 	}
 	return 30 * time.Second
-}
-
-func (c Config) mergeReserve() float64 {
-	if c.MergeReserve > 0 && c.MergeReserve <= 0.5 {
-		return c.MergeReserve
-	}
-	return 0.1
 }
 
 func (c Config) breakerThreshold() int {
@@ -589,7 +583,7 @@ func (c *Coordinator) fanout(ctx context.Context, op string, tiles []int, cmdFor
 	// reserve, the coordinator keeps the reserve to fold the streams.
 	shardBudget := time.Duration(0)
 	if budget > 0 {
-		shardBudget = budget - time.Duration(float64(budget)*c.cfg.mergeReserve())
+		shardBudget = budget - budget/mergeReserveDiv
 	}
 
 	res := Result{ShardsAsked: len(tiles), ShardMS: map[int]float64{}}

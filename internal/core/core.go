@@ -98,14 +98,8 @@ type Config struct {
 	// DefaultSentinelEvery; negative disables verification. The sample is
 	// a deterministic per-tester counter, so runs are reproducible.
 	SentinelEvery int
-	// SentinelRate adds a hash-sampled extra fraction (0–1) of negatives
-	// to the sentinel stream on top of the every-Nth picks, for callers
-	// that want denser verification without lockstep sampling.
-	SentinelRate float64
 	// Software selects the software segment-intersection algorithm.
 	Software sweep.Options
-	// Dist selects the software distance-test options.
-	Dist dist.Options
 	// Faults, when non-nil, arms deterministic fault injection at the
 	// tester's hook sites (test entry, hardware-filter verdict, raster
 	// draw path). Production configurations leave it nil; the resilience
@@ -515,10 +509,9 @@ func (t *Tester) softwareIntersects(p, q *geom.Polygon, pc PairContext) bool {
 
 // sentinelPick decides whether a hardware-filter negative joins the
 // sentinel sample. Deterministic: a per-tester counter picks every
-// SentinelEvery-th negative, plus an optional hash-sampled extra fraction
-// (SentinelRate); half-open probes are always verified. The counter
-// starts at 1, so with the default cadence the first 63 negatives ride
-// unsampled — sampling bounds detection latency, not per-pair cost.
+// SentinelEvery-th negative; half-open probes are always verified. The
+// counter starts at 1, so with the default cadence the first 63 negatives
+// ride unsampled — sampling bounds detection latency, not per-pair cost.
 func (t *Tester) sentinelPick(probe bool) bool {
 	t.sentinelSeq++
 	if probe {
@@ -531,22 +524,7 @@ func (t *Tester) sentinelPick(probe bool) bool {
 	if every == 0 {
 		every = DefaultSentinelEvery
 	}
-	if t.sentinelSeq%uint64(every) == 0 {
-		return true
-	}
-	if r := t.cfg.SentinelRate; r > 0 {
-		return float64(sentinelMix(t.sentinelSeq)>>11)/(1<<53) < r
-	}
-	return false
-}
-
-// sentinelMix is splitmix64, decorrelating the sequence counter for the
-// rate-based sentinel sample.
-func sentinelMix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return t.sentinelSeq%uint64(every) == 0
 }
 
 // sigReject consults the pair's persisted raster signatures and reports
@@ -760,7 +738,7 @@ func (t *Tester) RefineWithin(p, q *geom.Polygon, d float64, pc PairContext) boo
 // behind. Only a > d report needs the boundary-crossing check to confirm
 // that the disjointness assumption held.
 func (t *Tester) softwareWithin(p, q *geom.Polygon, d float64) bool {
-	if dist.BoundaryWithinScratch(p, q, d, t.cfg.Dist, &t.distScratch) {
+	if dist.BoundaryWithinScratch(p, q, d, dist.Options{}, &t.distScratch) {
 		return true
 	}
 	return p.Bounds().Intersects(q.Bounds()) && t.sweeper.BoundariesIntersect(p, q, t.cfg.Software)

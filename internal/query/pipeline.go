@@ -9,22 +9,28 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/edgeindex"
 	"repro/internal/filter"
+	"repro/internal/geom"
+	"repro/internal/interval"
 	"repro/internal/rtree"
 )
 
-// This file implements the one join executor: the paper's Figure-8
-// filter-and-refine algorithm — MBR candidate generation, an optional
-// intermediate-filter pre-pass, then the tester's filter and refine
-// calls — with the worker count choosing the schedule and nothing else.
+// This file implements the one executor for joins and selections: the
+// paper's Figure-8 filter-and-refine algorithm — MBR candidate
+// generation, an optional intermediate-filter pre-pass, then the tester's
+// filter and refine calls — with the worker count choosing the schedule
+// and nothing else. A selection is a join of the query polygon against
+// the layer (see selectPlan).
 //
 // Workers == 1 refines each batch inline on the calling goroutine with
-// one tester: the paper's serial Figure-8 loop, which IntersectionJoinOpt
-// and WithinDistanceJoin run with the caller's tester. Workers > 1 runs the
-// staged batch pipeline: generation → filter (MBR / containment /
-// persisted-signature, the render-free front of Algorithm 3.1) → refine
-// (hardware filter + exact software tests) → emit, with bounded batch
-// queues between the stages and a worker pool per stage. Batching keeps
+// one tester: the paper's serial Figure-8 loop, which IntersectionSelect,
+// IntersectionJoinOpt and WithinDistanceJoin run with the caller's
+// tester. Workers > 1 runs the staged batch pipeline: generation →
+// filter (MBR / containment / persisted-signature, the render-free front
+// of Algorithm 3.1) → refine (hardware filter + exact software tests) →
+// emit, with bounded batch queues between the stages and a worker pool
+// per stage. Batching keeps
 // each stage's working set hot (the filter stage runs dense and
 // branch-light over whole batches, modeled on 3DPipe's pipelined join
 // framework), and the emit stage delivers refined batches to a streaming
@@ -32,7 +38,8 @@ import (
 // time-to-last-row.
 //
 // Determinism: pre-pass hits come first, in candidate order; the rest
-// are refined in locality order, cut into the same batches on both
+// are refined in locality order (selections keep R-tree search order),
+// cut into the same batches on both
 // schedules, and the staged emit restores batch sequence order. So the
 // complete result — returned and streamed — is identical, bit for bit,
 // whatever the worker count or batch size; differential tests pin this.
@@ -57,7 +64,7 @@ type PipelineOptions struct {
 	NoEdgeIndex     bool
 	NoLocalityOrder bool
 	// NoBreaker detaches the layer pair's circuit breaker; see
-	// SelectionOptions.NoBreaker.
+	// JoinOptions.NoBreaker.
 	NoBreaker bool
 	// NoSignatures disables the persisted raster-signature filter; see
 	// SelectionOptions.NoSignatures.
@@ -242,6 +249,64 @@ func withinPlan(a, b *Layer, d float64, op string, use0, use1 bool, opt Pipeline
 	return plan
 }
 
+// selectPlan is the intersection selection's plan: a join of the one
+// query polygon (object 0 of the A side) against the layer, so candidate
+// pairs are {0, id} in R-tree search order. The interior filter is the
+// pre-pass when InteriorLevel >= 0; its build counts toward the stage,
+// amortized over the candidates exactly as the paper describes. The query
+// side's edge index, signature and interval spans on the layer's own grid
+// are built once, when the tests are bound. Selections always run inline,
+// so only the whole test is bound.
+func selectPlan(layer *Layer, query *geom.Polygon, opt SelectionOptions) joinPlan {
+	objs := layer.Data.Objects
+	plan := joinPlan{
+		op: "select",
+		generate: func(visit func(ea, eb rtree.Entry) bool) {
+			layer.Index.Search(query.Bounds(), func(e rtree.Entry) bool { return visit(rtree.Entry{}, e) })
+		},
+		tests: func() pairTests {
+			qIdx := edgeindex.New(query)
+			qSig := layer.querySignature(query, opt.NoSignatures)
+			// The query polygon rasterizes once onto the layer's own
+			// canonical grid; each candidate then contributes its cached (or
+			// persisted) spans, so selections get the same true-hit/reject
+			// verdicts as joins.
+			var qIv interval.Spans
+			var ivals *interval.Column
+			if !opt.NoIntervals {
+				if g, ok := layer.intervalGrid(); ok {
+					if qIv = interval.Rasterize(query, g); len(qIv) > 0 {
+						ivals = layer.Intervals(g)
+					}
+				}
+			}
+			br := layer.Breaker(layer)
+			return pairTests{full: func(t *core.Tester, pr Pair) bool {
+				pc := core.PairContext{PIndex: qIdx, QIndex: layer.EdgeIndex(pr.B), Breaker: br, PSig: qSig, QSig: layer.Signature(pr.B)}
+				if ivals != nil {
+					pc.PIv, pc.QIv = qIv, ivals.Spans(pr.B)
+				}
+				return t.IntersectsCtx(query, objs[pr.B], pc)
+			}}
+		},
+	}
+	if opt.InteriorLevel >= 0 {
+		plan.prepass = func(cands []Pair) (hits, rest []Pair) {
+			f := filter.NewInterior(query, opt.InteriorLevel)
+			rest = cands[:0]
+			for _, pr := range cands {
+				if f.CoversRect(objs[pr.B].Bounds()) {
+					hits = append(hits, pr)
+				} else {
+					rest = append(rest, pr)
+				}
+			}
+			return hits, rest
+		}
+	}
+	return plan
+}
+
 // runJoin is the join executor. tester, when non-nil, is the caller's
 // tester for the Workers == 1 schedule: its Stats accumulate in place and
 // the returned Stats carry only the executor's own counters. Otherwise
@@ -251,7 +316,7 @@ func withinPlan(a, b *Layer, d float64, op string, use0, use1 bool, opt Pipeline
 func runJoin(ctx context.Context, plan joinPlan, opt PipelineOptions, tester *core.Tester) ([]Pair, Cost, core.Stats, error) {
 	var cost Cost
 	start := time.Now()
-	col := collector[Pair]{ctx: ctx, op: plan.op, budget: opt.MaxCandidates}
+	col := collector{ctx: ctx, op: plan.op, budget: opt.MaxCandidates}
 	plan.generate(func(ea, eb rtree.Entry) bool {
 		return col.add(Pair{ea.ID, eb.ID})
 	})

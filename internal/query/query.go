@@ -14,12 +14,12 @@
 // a *PartialError that unwraps to the context's error, and leaks no
 // goroutines. Queries with a candidate budget fail fast with a
 // *BudgetError before any refinement work when MBR filtering overflows
-// the budget. Every join additionally isolates panicking refinement
-// tests: a pair whose test panics is retried once on the exact software
-// path and, failing that, quarantined (counted in core.Stats, excluded
-// from the result set) — one poisoned geometry pair can no longer take
-// down a join. All joins run through one executor (pipeline.go). See
-// DESIGN.md §7 and §14.
+// the budget. Every filter-and-refine query additionally isolates
+// panicking refinement tests: a pair whose test panics is retried once on
+// the exact software path and, failing that, quarantined (counted in
+// core.Stats, excluded from the result set) — one poisoned geometry pair
+// can no longer take down a selection or a join. Every filter-and-refine
+// query runs through one executor (pipeline.go). See DESIGN.md §7 and §14.
 package query
 
 import (
@@ -414,10 +414,6 @@ type SelectionOptions struct {
 	// MaxCandidates, when positive, aborts the selection with a
 	// *BudgetError if MBR filtering yields more candidates than this.
 	MaxCandidates int
-	// NoBreaker detaches the layer's circuit breaker from this query's
-	// pair tests: the hardware filter runs (and sentinel samples are
-	// taken) regardless of prior disagreements. Ablation/baseline knob.
-	NoBreaker bool
 	// NoSignatures disables the persisted raster-signature filter for
 	// snapshot-backed layers. Ablation knob; no effect on layers without
 	// signatures.
@@ -426,32 +422,30 @@ type SelectionOptions struct {
 	// hits and rejects); the v1 signature path then decides alone.
 	// Ablation/baseline knob.
 	NoIntervals bool
-	// BatchSize is the streaming flush granularity for Sink; 0 falls back
-	// to core.DefaultBatchSize.
-	BatchSize int
 	// Sink, when non-nil, receives result IDs incrementally as refinement
-	// proceeds, from the calling goroutine, in result order. The slice is
-	// reused between calls — consume it before returning, don't retain it.
-	// A non-nil return stops the selection and surfaces as the
-	// *PartialError cause. Rows already handed to the sink are still
-	// present in the returned slice.
+	// proceeds — the interior-filter hits, then each refined batch's
+	// positives — from the calling goroutine, in result order. The slice
+	// is reused between calls — consume it before returning, don't retain
+	// it. A non-nil return stops the selection after the current batch and
+	// surfaces as the *PartialError cause. Rows already handed to the sink
+	// are still present in the returned slice.
 	Sink func(ids []int) error
 }
 
-// collectBudget gathers MBR-filter output while enforcing a candidate
-// budget and periodic context checks inside the index traversal. The
-// returned visit wrapper is handed to the index; after traversal the
-// caller consults err.
-type collector[T any] struct {
+// collector gathers MBR-filter output while enforcing a candidate budget
+// and periodic context checks inside the index traversal. The add method
+// is the visit callback handed to the index; after traversal the caller
+// consults err.
+type collector struct {
 	ctx    context.Context
 	op     string
 	budget int
-	items  []T
+	items  []Pair
 	err    error
 	visits int
 }
 
-func (c *collector[T]) add(item T) bool {
+func (c *collector) add(item Pair) bool {
 	c.visits++
 	if c.visits&1023 == 0 && c.ctx.Err() != nil {
 		c.err = &PartialError{Op: c.op, Done: 0, Total: len(c.items), Err: ctxCause(c.ctx)}
@@ -466,187 +460,14 @@ func (c *collector[T]) add(item T) bool {
 }
 
 // IntersectionSelect returns the IDs of the layer's objects whose regions
-// intersect the query polygon, processed through the three-stage pipeline.
-// The tester decides software vs hardware-assisted refinement. A
-// cancelled or expired context yields the results so far plus a
-// *PartialError; an overflowing candidate budget yields a *BudgetError.
+// intersect the query polygon, processed through the three-stage pipeline:
+// interior-filter hits first, in R-tree search order, then the refined
+// IDs in the same order. The tester decides software vs hardware-assisted
+// refinement and accumulates the pair tests. A cancelled or expired
+// context yields the results so far plus a *PartialError; an overflowing
+// candidate budget yields a *BudgetError.
 func IntersectionSelect(ctx context.Context, layer *Layer, query *geom.Polygon, tester *core.Tester, opt SelectionOptions) ([]int, Cost, error) {
-	var cost Cost
-
-	// Stage 1: MBR filtering.
-	start := time.Now()
-	col := collector[int]{ctx: ctx, op: "select", budget: opt.MaxCandidates}
-	layer.Index.Search(query.Bounds(), func(e rtree.Entry) bool {
-		return col.add(e.ID)
-	})
-	candidates := col.items
-	cost.MBRFilter = time.Since(start)
-	cost.Candidates = len(candidates)
-	if col.err != nil {
-		return nil, cost, col.err
-	}
-
-	var results []int
-
-	// Stage 2: interior filter. Positives skip geometry comparison; the
-	// filter build cost counts toward the stage, amortized over objects
-	// exactly as the paper describes.
-	remaining := candidates
-	if opt.InteriorLevel >= 0 {
-		start = time.Now()
-		f := filter.NewInterior(query, opt.InteriorLevel)
-		remaining = remaining[:0]
-		for _, id := range candidates {
-			if f.CoversRect(layer.Data.Objects[id].Bounds()) {
-				results = append(results, id)
-			} else {
-				remaining = append(remaining, id)
-			}
-		}
-		cost.IntermediateFilter = time.Since(start)
-		cost.FilterHits = len(results)
-	}
-
-	// Streaming delivery: flush pending result IDs to the sink once a
-	// batch accumulates (or unconditionally on wind-down). The sink runs on
-	// the calling goroutine, so a slow consumer simply slows the scan — no
-	// result buffering beyond one batch.
-	batch := opt.BatchSize
-	if batch <= 0 {
-		batch = core.DefaultBatchSize
-	}
-	emitted := 0
-	flush := func(force bool) error {
-		pending := len(results) - emitted
-		if opt.Sink == nil || pending == 0 || (!force && pending < batch) {
-			return nil
-		}
-		if err := opt.Sink(results[emitted:]); err != nil {
-			return err
-		}
-		emitted = len(results)
-		tester.Stats.StreamRowsEmitted += int64(pending)
-		return nil
-	}
-
-	// Stage 3: geometry comparison, cancellable every cancelStride tests.
-	// The query polygon's edge index is built once and shared across every
-	// candidate test; the layer side reuses the per-object cached indexes.
-	start = time.Now()
-	qIdx := edgeindex.New(query)
-	qSig := layer.querySignature(query, opt.NoSignatures)
-	// The query polygon rasterizes once onto the layer's own canonical
-	// grid; each candidate then contributes its cached (or persisted)
-	// spans, so selections get the same true-hit/reject verdicts as joins.
-	var qIv interval.Spans
-	var selIvals *interval.Column
-	if !opt.NoIntervals {
-		if g, ok := layer.intervalGrid(); ok {
-			if qIv = interval.Rasterize(query, g); len(qIv) > 0 {
-				selIvals = layer.Intervals(g)
-			}
-		}
-	}
-	var br *core.Breaker
-	if !opt.NoBreaker {
-		br = layer.Breaker(layer)
-	}
-	for i, id := range remaining {
-		if i%cancelStride == 0 && ctx.Err() != nil {
-			flush(true) // best effort: the partial rows stream out too
-			cost.GeometryComparison = time.Since(start)
-			cost.Compared = i
-			cost.Results = len(results)
-			return results, cost, &PartialError{Op: "select", Done: i, Total: len(remaining), Err: ctxCause(ctx)}
-		}
-		pc := core.PairContext{PIndex: qIdx, QIndex: layer.EdgeIndex(id), Breaker: br, PSig: qSig, QSig: layer.Signature(id)}
-		if selIvals != nil {
-			pc.PIv, pc.QIv = qIv, selIvals.Spans(id)
-		}
-		if tester.IntersectsCtx(query, layer.Data.Objects[id], pc) {
-			results = append(results, id)
-		}
-		if err := flush(false); err != nil {
-			cost.GeometryComparison = time.Since(start)
-			cost.Compared = i + 1
-			cost.Results = len(results)
-			return results, cost, &PartialError{Op: "select", Done: i + 1, Total: len(remaining), Err: err}
-		}
-	}
-	cost.GeometryComparison = time.Since(start)
-	cost.Compared = len(remaining)
-	cost.Results = len(results)
-	if err := flush(true); err != nil {
-		return results, cost, &PartialError{Op: "select", Done: len(remaining), Total: len(remaining), Err: err}
-	}
-	return results, cost, nil
-}
-
-// WithinDistanceSelect returns the IDs of the layer's objects whose
-// regions lie within distance d of the query polygon — the buffer query
-// restricted to one query object. The pipeline mirrors the join: MBR
-// distance filtering via the index, the 0-Object/1-Object upper-bound
-// filters, then geometry comparison. Cancellation and budget semantics
-// match IntersectionSelect.
-func WithinDistanceSelect(ctx context.Context, layer *Layer, query *geom.Polygon, d float64, tester *core.Tester, opt DistanceFilterOptions) ([]int, Cost, error) {
-	var cost Cost
-
-	start := time.Now()
-	col := collector[int]{ctx: ctx, op: "within-select", budget: opt.MaxCandidates}
-	layer.Index.SearchWithin(query.Bounds(), d, func(e rtree.Entry) bool {
-		return col.add(e.ID)
-	})
-	candidates := col.items
-	cost.MBRFilter = time.Since(start)
-	cost.Candidates = len(candidates)
-	if col.err != nil {
-		return nil, cost, col.err
-	}
-
-	var results []int
-	remaining := candidates
-	if opt.Use0Object || opt.Use1Object {
-		start = time.Now()
-		remaining = remaining[:0]
-		for _, id := range candidates {
-			obj := layer.Data.Objects[id]
-			if opt.Use0Object && filter.UpperBound0(query.Bounds(), obj.Bounds()) <= d {
-				results = append(results, id)
-				continue
-			}
-			if opt.Use1Object && filter.UpperBound1(query, obj.Bounds()) <= d {
-				results = append(results, id)
-				continue
-			}
-			remaining = append(remaining, id)
-		}
-		cost.IntermediateFilter = time.Since(start)
-		cost.FilterHits = len(results)
-	}
-
-	start = time.Now()
-	qIdx := edgeindex.New(query)
-	qSig := layer.querySignature(query, opt.NoSignatures)
-	var br *core.Breaker
-	if !opt.NoBreaker {
-		br = layer.Breaker(layer)
-	}
-	for i, id := range remaining {
-		if i%cancelStride == 0 && ctx.Err() != nil {
-			cost.GeometryComparison = time.Since(start)
-			cost.Compared = i
-			cost.Results = len(results)
-			return results, cost, &PartialError{Op: "within-select", Done: i, Total: len(remaining), Err: ctxCause(ctx)}
-		}
-		pc := core.PairContext{PIndex: qIdx, QIndex: layer.EdgeIndex(id), Breaker: br, PSig: qSig, QSig: layer.Signature(id)}
-		if tester.WithinDistanceCtx(query, layer.Data.Objects[id], d, pc) {
-			results = append(results, id)
-		}
-	}
-	cost.GeometryComparison = time.Since(start)
-	cost.Compared = len(remaining)
-	cost.Results = len(results)
-	return results, cost, nil
+	return IntersectionSelectView(ctx, layer.View(), query, tester, opt)
 }
 
 // Pair is one join result: indices into the two layers' object slices.
@@ -675,8 +496,9 @@ type JoinOptions struct {
 	// before refinement, leaving them in R-tree join emission order.
 	// Ablation knob for the locality benchmarks.
 	NoLocalityOrder bool
-	// NoBreaker detaches the layer pair's circuit breaker; see
-	// SelectionOptions.NoBreaker.
+	// NoBreaker detaches the layer pair's circuit breaker from this
+	// query's pair tests: the hardware filter runs (and sentinel samples
+	// are taken) regardless of prior disagreements. Ablation/baseline knob.
 	NoBreaker bool
 	// NoSignatures disables the persisted raster-signature filter; see
 	// SelectionOptions.NoSignatures.
@@ -774,11 +596,11 @@ type DistanceFilterOptions struct {
 	// if MBR filtering yields more candidates than this.
 	MaxCandidates int
 	// NoEdgeIndex and NoLocalityOrder are the join-refinement ablation
-	// knobs, as in JoinOptions. They have no effect on selections.
+	// knobs, as in JoinOptions.
 	NoEdgeIndex     bool
 	NoLocalityOrder bool
 	// NoBreaker detaches the layer pair's circuit breaker; see
-	// SelectionOptions.NoBreaker.
+	// JoinOptions.NoBreaker.
 	NoBreaker bool
 	// NoSignatures disables the persisted raster-signature filter; see
 	// SelectionOptions.NoSignatures.

@@ -283,11 +283,6 @@ func TestSerialCancellation(t *testing.T) {
 		t.Errorf("within-join: err = %v, want PartialError wrapping Canceled", err)
 	}
 
-	_, _, err = WithinDistanceSelect(ctx, layerA, q, 1, sw, DistanceFilterOptions{})
-	if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) {
-		t.Errorf("within-select: err = %v, want PartialError wrapping Canceled", err)
-	}
-
 	_, _, err = OverlayAreaJoin(ctx, layerA, layerB, sw)
 	if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) {
 		t.Errorf("overlay-join: err = %v, want PartialError wrapping Canceled", err)

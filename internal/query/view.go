@@ -3,7 +3,6 @@ package query
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -138,57 +137,44 @@ func (e *LiveUnsupportedError) Error() string {
 	return fmt.Sprintf("query: %s does not support a live delta view; compact the layer first", e.Op)
 }
 
-// IntersectionSelectView runs IntersectionSelect over every component of
-// the view and merges the results into canonical positions (sorted
-// ascending). Single-component views take the exact legacy path. A
+// querySide is the A side of a selection run as a join: a bare
+// single-component view whose one object (position 0) is the query
+// polygon. Its component carries no layer, because selection plans never
+// read the A side; it exists so that joinViews composes a selection over
+// a live view exactly as it composes a join.
+var querySide = &View{numObjects: 1}
+
+// IntersectionSelectView is IntersectionSelect over a view: the query
+// polygon is joined against the view through joinViews, so a composed
+// view's results land on canonical positions, tombstoned objects drop out,
+// the union comes back sorted ascending and Sink rows are remapped per
+// component. A single-component view keeps IntersectionSelect's order. A
 // *PartialError carries the merged results so far; a *BudgetError (per
 // component) aborts with no results, as on a plain layer.
 func IntersectionSelectView(ctx context.Context, v *View, query *geom.Polygon, tester *core.Tester, opt SelectionOptions) ([]int, Cost, error) {
-	if l, ok := v.Single(); ok {
-		return IntersectionSelect(ctx, l, query, tester, opt)
-	}
-	var out []int
-	var cost Cost
-	for _, c := range v.components() {
-		o := opt
-		if opt.Sink != nil {
-			// Stream per-component rows through a canonical-remapping sink
-			// (tombstoned objects dropped); the returned union is still
-			// sorted, the stream is per-component ordered.
-			canon := c.canon
-			var remapped []int
-			o.Sink = func(ids []int) error {
-				remapped = remapped[:0]
-				for _, id := range ids {
-					if p := canon(id); p >= 0 {
-						remapped = append(remapped, int(p))
-					}
-				}
-				if len(remapped) == 0 {
-					return nil
-				}
-				return opt.Sink(remapped)
-			}
-		}
-		ids, cc, err := IntersectionSelect(ctx, c.layer, query, tester, o)
-		cost.Add(cc)
-		for _, id := range ids {
-			if p := c.canon(id); p >= 0 {
-				out = append(out, int(p))
-			}
-		}
-		if err != nil {
-			if _, ok := err.(*BudgetError); ok {
-				return nil, cost, err
-			}
-			sort.Ints(out)
-			cost.Results = len(out)
-			return out, cost, err
+	po := PipelineOptions{Workers: 1, NoLocalityOrder: true, MaxCandidates: opt.MaxCandidates}
+	if opt.Sink != nil {
+		var ids []int
+		po.Sink = func(pairs []Pair) error {
+			ids = appendIDs(ids[:0], pairs)
+			return opt.Sink(ids)
 		}
 	}
-	sort.Ints(out)
-	cost.Results = len(out)
-	return out, cost, nil
+	pairs, cost, stats, err := joinViews(querySide, v, po, func(_, l *Layer, o PipelineOptions) ([]Pair, Cost, core.Stats, error) {
+		return runJoin(ctx, selectPlan(l, query, opt), o, tester)
+	})
+	// The executor counts streamed rows in its own Stats; a selection
+	// reports them on the caller's tester with the pair tests.
+	tester.Stats.StreamRowsEmitted += stats.StreamRowsEmitted
+	return appendIDs(nil, pairs), cost, err
+}
+
+// appendIDs appends the selected object of each selection pair {0, id}.
+func appendIDs(ids []int, pairs []Pair) []int {
+	for _, pr := range pairs {
+		ids = append(ids, pr.B)
+	}
+	return ids
 }
 
 // IntersectionJoinView is IntersectionJoinOpt over views; see joinViews
@@ -209,7 +195,8 @@ func WithinDistanceJoinView(ctx context.Context, a, b *View, d float64, tester *
 	return pairs, cost, err
 }
 
-// joinViews is the one join composer. Single×single views run join
+// joinViews is the one composer for joins and selections (see
+// querySide). Single×single views run join
 // directly, byte for byte. Composed views run it across every component
 // combination (up to base×base, base×delta, delta×base, delta×delta),
 // streaming each component's batches through a canonical-remapping sink

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/geom"
 	"repro/internal/query"
 )
 
@@ -107,10 +108,10 @@ func TestFaultAcceptPanicContained(t *testing.T) {
 }
 
 // TestFaultQueryPanicContained arms a panic inside the refinement tester:
-// a selection served to one session blows up mid-query. The session dies
-// (panic containment is per-connection), but the server, the other
-// sessions' view of the catalog, and non-refinement commands all survive.
-// Joins isolate panicking pair tests themselves, so they answer exactly.
+// every pair test of every query verb blows up. The query executor
+// quarantines panicking tests and retries them on the software path, so
+// select, join and pjoin all answer exactly; no admission slot leaks, and
+// the catalog and non-refinement commands are untouched.
 func TestFaultQueryPanicContained(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	inj := faultinject.New(1).Inject(faultinject.SiteIntersects, faultinject.KindPanic, 1)
@@ -120,40 +121,35 @@ func TestFaultQueryPanicContained(t *testing.T) {
 	}
 	water, prism := preload(t, s)
 	wantJoin := directJoinCount(t, water, prism)
-
-	c := dialWire(t, s.Addr().String())
-	if err := c.send(fmt.Sprintf("select water %s", e2eQueryWKT)); err != nil {
+	qpoly, err := geom.ParsePolygonWKT(e2eQueryWKT)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The panic escapes Exec and is contained by the session's recover:
-	// the connection closes with no status line.
-	if lines, status, err := c.readResponse(); err == nil {
-		t.Errorf("panicked select returned status %q lines %q, want closed connection", status, lines)
+	ids, _, err := query.IntersectionSelect(context.Background(), water, qpoly,
+		core.NewTester(core.Config{DisableHardware: true}), query.SelectionOptions{InteriorLevel: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	waitFor(t, "panicked session to unwind", func() bool {
-		return s.Metrics().SessionsActive.Load() == 0
-	})
 
-	// A fresh session still works for commands off the faulted path, and
-	// admission slots were not leaked by the dead session.
-	if got := s.lim.inFlight(); got != 0 {
-		t.Errorf("in-flight slots after session panic = %d, want 0", got)
+	c := dialWire(t, s.Addr().String())
+	slines := c.mustOK(t, fmt.Sprintf("select water %s", e2eQueryWKT))
+	if got := countFrom(t, slines, "select: %d results"); got != len(ids) {
+		t.Errorf("select under panic faults = %d results, want %d", got, len(ids))
 	}
-	c2 := dialWire(t, s.Addr().String())
-	lines := c2.mustOK(t, "layers")
+	if got := s.lim.inFlight(); got != 0 {
+		t.Errorf("in-flight slots after faulted select = %d, want 0", got)
+	}
+	lines := c.mustOK(t, "layers")
 	joined := strings.Join(lines, "\n")
 	if !strings.Contains(joined, "water") || !strings.Contains(joined, "prism") {
-		t.Errorf("layers after panic = %q", lines)
+		t.Errorf("layers after faulted select = %q", lines)
 	}
-	c2.mustOK(t, fmt.Sprintf("knn water %s 3", e2eQueryWKT))
-	// join and pjoin survive the same injected faults end to end: the
-	// join executor quarantines panicking tests and retries them on the
-	// software path.
-	jlines := c2.mustOK(t, "join water prism hw")
+	c.mustOK(t, fmt.Sprintf("knn water %s 3", e2eQueryWKT))
+	jlines := c.mustOK(t, "join water prism hw")
 	if got := countFrom(t, jlines, "join: %d results"); got != wantJoin {
 		t.Errorf("join under panic faults = %d results, want %d", got, wantJoin)
 	}
-	plines := c2.mustOK(t, "pjoin water prism 2")
+	plines := c.mustOK(t, "pjoin water prism 2")
 	if got := countFrom(t, plines, "pjoin: %d results"); got != wantJoin {
 		t.Errorf("pjoin under panic faults = %d results, want %d", got, wantJoin)
 	}

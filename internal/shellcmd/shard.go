@@ -158,8 +158,7 @@ func (e *Engine) shardSelect(ctx context.Context, store Store, line string, out 
 		_, werr := out.Write(buf.Bytes())
 		return werr
 	}
-	ids, cost, qerr := query.IntersectionSelectView(qctx, v, q, tester,
-		query.SelectionOptions{InteriorLevel: 4, MaxCandidates: e.Settings.Budget, Sink: sink})
+	ids, cost, qerr := query.IntersectionSelectView(qctx, v, q, tester, e.selectOpts(sink))
 	var be *query.BudgetError
 	if errors.As(qerr, &be) {
 		return Result{}, qerr

@@ -125,6 +125,29 @@ func TestShardSelectStableIDs(t *testing.T) {
 	}
 }
 
+// TestSelectVerbsHonourIntervalsOff: the session's `intervals off` reaches
+// both selection verbs, which then consult no interval spans.
+func TestSelectVerbsHonourIntervalsOff(t *testing.T) {
+	e := &Engine{Store: MapStore{}}
+	mustExec(t, e, "gen base LANDC 0.01")
+	wkt := "POLYGON((10 10, 40 10, 40 40, 10 40, 10 10))"
+	for _, verb := range []string{"select", "shardselect"} {
+		mustExec(t, e, "intervals on")
+		_, on := exec(t, e, verb+" base "+wkt)
+		if on.Stats.IntervalChecks == 0 {
+			t.Fatalf("%s with intervals on made no interval checks; the test is vacuous", verb)
+		}
+		mustExec(t, e, "intervals off")
+		_, off := exec(t, e, verb+" base "+wkt)
+		if off.Stats.IntervalChecks != 0 {
+			t.Errorf("%s after `intervals off`: IntervalChecks = %d, want 0", verb, off.Stats.IntervalChecks)
+		}
+		if off.Stats.Results != on.Stats.Results {
+			t.Errorf("%s: %d results with intervals off, %d with them on", verb, off.Stats.Results, on.Stats.Results)
+		}
+	}
+}
+
 func TestShardVerbsAreQueries(t *testing.T) {
 	for _, v := range []string{"shardjoin", "shardwithin", "shardselect"} {
 		if !IsQuery(v) {

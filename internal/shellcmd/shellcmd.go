@@ -605,6 +605,13 @@ func (e *Engine) pipelineOpts(mode string, workers int) (query.PipelineOptions, 
 		MaxCandidates: e.Settings.Budget, NoIntervals: e.Settings.NoIntervals}, nil
 }
 
+// selectOpts assembles the selection options every select verb runs
+// with from the session settings; sink, when non-nil, streams result ids.
+func (e *Engine) selectOpts(sink func(ids []int) error) query.SelectionOptions {
+	return query.SelectionOptions{InteriorLevel: 4, MaxCandidates: e.Settings.Budget,
+		NoIntervals: e.Settings.NoIntervals, Sink: sink}
+}
+
 // qctx derives the per-query context from the session's timeout setting
 // capped by the server ceiling. Deadline expiry is attributed to a typed
 // *query.DeadlineError cause, so partial results distinguish "ran out of
@@ -825,9 +832,7 @@ func (e *Engine) selectCmd(ctx context.Context, store Store, line string, out io
 	}
 	qctx, cancel := e.qctx(ctx)
 	defer cancel()
-	ids, cost, qerr := query.IntersectionSelectView(qctx, v, q, tester,
-		query.SelectionOptions{InteriorLevel: 4, MaxCandidates: e.Settings.Budget,
-			NoIntervals: e.Settings.NoIntervals})
+	ids, cost, qerr := query.IntersectionSelectView(qctx, v, q, tester, e.selectOpts(nil))
 	var be *query.BudgetError
 	if errors.As(qerr, &be) {
 		return Result{}, qerr

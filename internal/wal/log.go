@@ -14,16 +14,17 @@ import (
 	"repro/internal/geom"
 )
 
+// flushBytes is the size trigger: once the pending batch reaches this
+// many encoded bytes the committer flushes without waiting out the
+// latency trigger (FlushDelay).
+const flushBytes = 256 << 10
+
 // Options configures a Log. The zero value is usable: defaults below.
 type Options struct {
 	// SegmentBytes rotates to a fresh segment once the active one grows
 	// past this size (checked at batch boundaries, so a segment can
 	// overshoot by one batch). 0 = 4 MiB.
 	SegmentBytes int64
-	// FlushBytes is the size trigger: once the pending batch reaches this
-	// many encoded bytes the committer flushes without waiting out the
-	// latency trigger. 0 = 256 KiB.
-	FlushBytes int
 	// FlushDelay is the latency trigger: how long the committer waits for
 	// more appends to join a batch before fsyncing. 0 commits as soon as
 	// the committer wakes — concurrent appends still batch naturally
@@ -36,9 +37,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.FlushBytes <= 0 {
-		o.FlushBytes = 256 << 10
 	}
 	return o
 }
@@ -274,7 +272,7 @@ func (l *Log) Append(op Op, id uint64, verts []geom.Point) (*Ack, error) {
 	}
 	b := l.curBatch
 	l.stats.appends++
-	big := len(l.pending) >= l.opt.FlushBytes
+	big := len(l.pending) >= flushBytes
 	l.mu.Unlock()
 
 	select {

@@ -12,6 +12,12 @@ FUZZTIME="${FUZZTIME:-10s}"
 echo "== go vet ./..."
 go vet ./...
 
+echo "== go vet perfbench (the benchmark module, compiled against this tree)"
+# perfbench is its own module (replace repro => ../), so ./... skips it;
+# vetting it here catches a renamed or re-typed name it compiles against.
+# Offline and read-only: -mod=readonly writes no go.mod/go.sum.
+(cd perfbench && GOWORK=off GOFLAGS=-mod=readonly go vet .)
+
 echo "== go test -race ./..."
 go test -race ./...
 
